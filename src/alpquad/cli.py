@@ -32,7 +32,11 @@ _DEFAULT_MAX_N = 30
 
 def _max_n() -> int:
     # ALP_MAX_N may raise the guard; accuracy beyond 30 is not supported
-    return int(os.environ.get("ALP_MAX_N", _DEFAULT_MAX_N))
+    raw = os.environ.get("ALP_MAX_N", _DEFAULT_MAX_N)
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"ALP_MAX_N must be an integer, got {raw!r}") from None
 
 
 def _fmt17(x: float) -> str:

@@ -24,9 +24,12 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
+import numpy as np
+
 from .exactpoly import Polynomial
 from .horner import comp_horner
 from .jacobi import (
+    jacobi_derivative_eval,
     jacobi_eval,
     jacobi_shifted_coefficients,
     pochhammer,
@@ -70,7 +73,10 @@ def _check_variant(variant: str) -> None:
 
 
 def _check_finite(x) -> None:
-    if isinstance(x, (int, float)) and not math.isfinite(x):
+    if isinstance(x, np.ndarray):
+        if not np.isfinite(x).all():
+            raise ValueError("evaluation points must all be finite")
+    elif isinstance(x, (int, float)) and not math.isfinite(x):
         raise ValueError(f"evaluation point must be finite, got {x}")
 
 
@@ -284,41 +290,43 @@ def alp_eval_recurrence(n: int, x: float) -> list[float]:
 
     Independent of the Horner path; useful as a consistency check. The
     recurrence carries a b/x term, so x = 0 is answered with the exact
-    limit values taken from the stored coefficients.
+    limit values taken from the stored coefficients. The running pair is
+    kept as mantissas times a common power of two, so starting from
+    P_nn = x^n does not underflow for small x.
     """
     if n < 0:
         raise ValueError(f"family order must be nonnegative, got {n}")
     _check_finite(x)
     if x == 0.0:
         return [float(alp_coefficients(n, k).coeff(0)) for k in range(n, -1, -1)]
-    vals = [0.0] * (n + 1)  # indexed by k
-    vals[n] = x**n
-    above = 0.0  # P_{n,k+1}; the k = n step multiplies it by d_nn = 0
+    mant, exp = math.frexp(x)
+    cur, above, scale = mant**n, 0.0, n * exp  # P_nk = cur * 2^scale
+    out = [math.ldexp(cur, scale)]
     for k in range(n, 0, -1):
         r = recurrence_coefficients(n, k)
-        vals[k - 1] = ((r.b / x - r.c) * vals[k] - r.d * above) / r.a
-        above = vals[k]
-    return [vals[k] for k in range(n, -1, -1)]
+        # the k = n step multiplies above by d_nn = 0
+        cur, above = ((r.b / x - r.c) * cur - r.d * above) / r.a, cur
+        cur, exp = math.frexp(cur)
+        above = math.ldexp(above, -exp)
+        scale += exp
+        out.append(math.ldexp(cur, scale))
+    return out
 
 
 def alp_derivative_eval(n: int, k: int, x: float) -> float:
-    """P'_nk(x) through the raising differentiation identity.
+    """P'_nk(x) from the Jacobi form P_nk = x^k J(1-2x), J = P^{(2k+1,0)}_{n-k}.
 
-    Uses alpha x (1-x) P'_nk = (beta - gamma x) P_nk - delta x P_{n,k+1};
-    at x in {0, 1}, where the identity divides by zero, falls back to
-    direct differentiation of the stored coefficients.
+    P'_nk = x^(k-1) (k J(t) - 2x J'(t)) with t = 1-2x, both factors by the
+    Jacobi recurrence; nothing divides by x or 1-x, so both endpoints are
+    ordinary points.
     """
     _check_index(n, k)
     _check_finite(x)
-    if x == 0.0 or x == 1.0:
-        dcoeffs = alp_coefficients(n, k).derivative().float_coeffs()
-        return float(comp_horner(dcoeffs, x))
-    r = recurrence_coefficients(n, k)
-    fam = family(n)
-    val = (r.beta - r.gamma * x) * fam.eval(k, x)
-    if k < n:
-        val -= r.delta * x * fam.eval(k + 1, x)
-    return val / (r.alpha * x * (1.0 - x))
+    t = 1.0 - 2.0 * x
+    dj = jacobi_derivative_eval(n - k, 2 * k + 1, 0, t)
+    if k == 0:
+        return -2.0 * dj
+    return x ** (k - 1) * (k * jacobi_eval(n - k, 2 * k + 1, 0, t) - 2.0 * x * dj)
 
 
 def ode_residual(n: int, k: int) -> Polynomial:

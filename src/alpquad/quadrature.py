@@ -1,17 +1,16 @@
 """Gauss-type quadrature generated by the alternative family.
 
 The (n, k) rule places its n-k+1 nodes at the nonzero zeros of P_{n,k-1}
-(the factor x^{k-1} is deflated away exactly before root finding) and
-takes weights w_j = 1 / sum_{l=k}^{n} (2l+1) P_nl(x_j)^2. The rule
+and takes weights w_j = 1 / sum_{l=k}^{n} (2l+1) P_nl(x_j)^2. The rule
 integrates monomials x^l exactly for 2k-1 <= l <= 2n and nothing below
 that window; in particular no rule with k >= 1 reproduces constants.
 
-Root finding is sign-change scanning on a uniform grid followed by
-bisection to 1e-14 brackets and three Newton polish steps. The deflated
-polynomial is evaluated by compensated Horner while its integer
-coefficients are exactly representable in double; past that (n >= ~28 at
-small k) it switches to the equivalent Jacobi-recurrence form, which keeps
-full accuracy where converted monomial coefficients carry none.
+The deflated polynomial P_{n,k-1} / x^{k-1} is the Jacobi polynomial
+P^{(2k-1,0)}_{n-k+1}(1-2x), so the rule is the (n-k+1)-point Gauss-Jacobi
+rule for the weight x^{2k-1} on [0, 1]; that is why the window starts at
+2k-1. Nodes are the eigenvalues of the closed-form tridiagonal Jacobi
+matrix (Golub & Welsch, Math. Comp. 23, 1969), polished by one Newton step
+on the Jacobi three-term recurrence.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ import numpy as np
 
 from .exactpoly import Polynomial, inner_product
 from .family import alp_coefficients, family
-from .horner import comp_horner
 from .jacobi import jacobi_derivative_eval, jacobi_eval
 
 __all__ = [
@@ -41,13 +39,13 @@ __all__ = [
     "rule_to_csv",
 ]
 
-_BRACKET_WIDTH = 1e-14
-_RESIDUAL_FACTOR = 1e-13
-_MAX_EXACT_FLOAT = float(2**53)
+# bound on the Newton step that polishes an eigenvalue; measured at most
+# 5.5e-16 for n <= 30 and 1.5e-15 for n <= 100
+_MAX_CORRECTION = 1e-13
 
 
 class RootFindingError(RuntimeError):
-    """Root search failed (count mismatch or residual out of tolerance)."""
+    """Node construction failed a check (Newton correction, range or order)."""
 
 
 @dataclass(frozen=True)
@@ -65,102 +63,39 @@ def _check_rule_index(n: int, k: int) -> None:
         raise ValueError(f"quadrature requires 1 <= k <= n, got n={n}, k={k}")
 
 
-class _Deflated:
-    """P_{n,k-1} with the x^{k-1} factor removed, with a stable evaluator."""
-
-    def __init__(self, n: int, k: int):
-        self.n, self.k = n, k
-        self.m = n - k + 1  # degree == expected root count
-        poly = alp_coefficients(n, k - 1).shifted(-(k - 1))
-        self.fcoeffs = poly.float_coeffs()
-        self.dcoeffs = poly.derivative().float_coeffs()
-        self.abs_coeffs = tuple(abs(c) for c in self.fcoeffs)
-        self.float_exact = all(abs(c) <= _MAX_EXACT_FLOAT for c in poly.coeffs)
-
-    def __call__(self, x):
-        if self.float_exact:
-            return comp_horner(self.fcoeffs, x)
-        return jacobi_eval(self.m, 2 * self.k - 1, 0, 1.0 - 2.0 * x)
-
-    def deriv(self, x):
-        if self.float_exact:
-            return comp_horner(self.dcoeffs, x)
-        return -2.0 * jacobi_derivative_eval(self.m, 2 * self.k - 1, 0, 1.0 - 2.0 * x)
-
-    def local_scale(self, x):
-        return comp_horner(self.abs_coeffs, x)
-
-
-def _scan_brackets(q: _Deflated, npts: int) -> list[tuple[float, float]]:
-    grid = np.linspace(0.0, 1.0, npts)
-    vals = q(grid)
-    brackets = []
-    for i in range(npts - 1):
-        if vals[i] == 0.0:
-            brackets.append((float(grid[i]), float(grid[i])))
-        elif vals[i] * vals[i + 1] < 0.0:
-            brackets.append((float(grid[i]), float(grid[i + 1])))
-    if vals[-1] == 0.0:
-        brackets.append((float(grid[-1]), float(grid[-1])))
-    return brackets
-
-
-def _refine(q: _Deflated, brackets: list[tuple[float, float]]) -> list[float]:
-    lo = np.array([b[0] for b in brackets])
-    hi = np.array([b[1] for b in brackets])
-    flo = q(lo)
-    for _ in range(80):
-        if np.all(hi - lo <= _BRACKET_WIDTH):
-            break
-        mid = 0.5 * (lo + hi)
-        fmid = q(mid)
-        hit = fmid == 0.0
-        go_right = (flo * fmid > 0.0) & ~hit
-        lo = np.where(hit, mid, np.where(go_right, mid, lo))
-        flo = np.where(go_right, fmid, flo)
-        hi = np.where(hit, mid, np.where(go_right, hi, mid))
-    x = 0.5 * (lo + hi)
-    for _ in range(3):
-        fx = q(x)
-        dfx = q.deriv(x)
-        step = np.where(dfx != 0.0, fx / np.where(dfx != 0.0, dfx, 1.0), 0.0)
-        x = np.clip(x - step, lo, hi)
-    return [float(v) for v in x]
-
-
 def nodes(n: int, k: int) -> tuple[float, ...]:
     """Nodes of the (n, k) rule: the n-k+1 roots of deflated P_{n,k-1}.
 
-    Roots are isolated by sign-change scanning (grid of 8(n-k+1)+16
-    points, densified x4 up to twice on a count miss), bisected to bracket
-    width <= 1e-14 and Newton-polished. Raises RootFindingError rather
-    than ever returning a partial or unverified node set.
+    The deflated polynomial is P^{(2k-1,0)}_m(1-2x) with m = n-k+1, so the
+    nodes are the Gauss-Jacobi nodes for the weight x^{2k-1} on [0, 1].
+    They are found as the eigenvalues of the symmetric tridiagonal Jacobi
+    matrix (Golub-Welsch), mapped from t to x = (1-t)/2, and polished by
+    one Newton step on the Jacobi recurrence. Raises RootFindingError
+    rather than ever returning a node set that fails its checks.
     """
     _check_rule_index(n, k)
-    q = _Deflated(n, k)
-    npts = 8 * q.m + 16
-    brackets = _scan_brackets(q, npts)
-    densified = 0
-    while len(brackets) != q.m and densified < 2:
-        npts *= 4
-        densified += 1
-        brackets = _scan_brackets(q, npts)
-    if len(brackets) != q.m:
+    m, a = n - k + 1, 2 * k - 1
+    j = np.arange(m, dtype=float)
+    s = 2.0 * j + a
+    diag = -a * a / (s * (s + 2.0))
+    j, s = j[1:], s[1:]
+    off = np.sqrt(4.0 * j**2 * (j + a) ** 2 / (s**2 * (s + 1.0) * (s - 1.0)))
+    t = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    x = np.sort((1.0 - t) / 2.0)
+    t = 1.0 - 2.0 * x
+    # Newton on q(x) = P_m(1-2x): q'(x) = -2 P_m'(t)
+    step = jacobi_eval(m, a, 0, t) / (2.0 * jacobi_derivative_eval(m, a, 0, t))
+    x = x + step
+    worst = float(np.max(np.abs(step)))
+    if not worst <= _MAX_CORRECTION:
         raise RootFindingError(
-            f"found {len(brackets)} sign changes for {q.m} expected roots of the "
-            f"deflated polynomial at n={n}, k={k}"
+            f"Newton correction {worst:.3e} above tolerance for n={n}, k={k}"
         )
-    roots = _refine(q, brackets)
-    for x in roots:
-        if not 0.0 < x < 1.0:
-            raise RootFindingError(f"root {x} escaped (0,1) at n={n}, k={k}")
-        if abs(q(x)) > _RESIDUAL_FACTOR * max(q.local_scale(x), 1.0):
-            raise RootFindingError(
-                f"residual {q(x):.3e} above tolerance at node {x} for n={n}, k={k}"
-            )
-    if any(b >= c for b, c in zip(roots, roots[1:])):
+    if not np.all((0.0 < x) & (x < 1.0)):
+        raise RootFindingError(f"a node escaped (0,1) at n={n}, k={k}")
+    if np.any(np.diff(x) <= 0.0):
         raise RootFindingError(f"nodes not strictly increasing at n={n}, k={k}")
-    return tuple(roots)
+    return tuple(float(v) for v in x)
 
 
 def weights(n: int, k: int, rule_nodes: Sequence[float]) -> tuple[float, ...]:

@@ -162,6 +162,13 @@ def test_env_raises_evaluation_guard(capsys, monkeypatch):
     assert run_cli(capsys, "eval", "--n", "33", "--k", "33", "--x", "0.5")[0] == 2
 
 
+def test_env_max_n_must_be_an_integer(capsys, monkeypatch):
+    monkeypatch.setenv("ALP_MAX_N", "thirty")
+    code, out, err = run_cli(capsys, "eval", "--n", "3", "--k", "1", "--x", "0.5")
+    assert code == 2 and out == ""
+    assert "ALP_MAX_N" in err
+
+
 def test_internal_failure_maps_to_exit_3(capsys, monkeypatch):
     def boom(n, k):
         raise RootFindingError("simulated count mismatch")

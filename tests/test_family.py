@@ -197,6 +197,14 @@ def test_eval_rejects_nonfinite():
         alp_eval(2, 1, float("inf"))
 
 
+def test_array_eval_rejects_nonfinite():
+    for bad in (np.array([np.nan, 2.0]), np.array([0.5, -np.inf]), np.array([[0.1], [np.inf]])):
+        with pytest.raises(ValueError):
+            alp_eval(3, 1, bad)
+        with pytest.raises(ValueError):
+            aux_eval(1, 2, bad)
+
+
 def test_eval_array_input():
     xs = np.linspace(0.0, 1.0, 9)
     vals = alp_eval(3, 1, xs)
@@ -246,6 +254,15 @@ def test_downward_recurrence_at_zero_gives_limits():
     assert vals == [0.0, 0.0, 0.0, 4.0]
 
 
+def test_downward_recurrence_matches_exact_without_underflow():
+    # x^n underflows at (30, 1e-12); P_30,0 is still 31 there
+    for n, x in [(30, 1e-12), (40, 1e-8), (20, 0.3), (40, 0.99)]:
+        vals = alp_eval_recurrence(n, x)
+        for idx, k in enumerate(range(n, -1, -1)):
+            exact = float(alp_eval_exact(n, k, x))
+            assert abs(vals[idx] - exact) <= 1e-12 * abs(exact), (n, k, x)
+
+
 def test_downward_recurrence_consistent_with_horner():
     # agreement within 1e-10 relative to a unit magnitude floor; pure
     # relative error is unbounded within rounding distance of a root
@@ -262,20 +279,31 @@ def test_downward_recurrence_consistent_with_horner():
 
 
 def test_derivative_known_values():
-    assert alp_derivative_eval(2, 1, 0.0) == 4.0  # fallback path, P'_21 = 4 - 10x
+    assert alp_derivative_eval(2, 1, 0.0) == 4.0  # endpoint, P'_21 = 4 - 10x
     assert alp_derivative_eval(2, 2, 1.0) == 2.0
     assert alp_derivative_eval(2, 0, 0.5) == pytest.approx(-2.0, abs=1e-13)
 
 
 def test_derivative_identity_and_fallback_agree():
-    # both paths defined away from {0,1}: compare identity route against
-    # direct differentiation of the exact coefficients
+    # compare against direct differentiation of the exact coefficients
     for n, k in [(3, 1), (5, 0), (7, 4), (10, 10)]:
         dpoly = alp_coefficients(n, k).derivative()
         for x in np.linspace(0.05, 0.95, 13):
             want = float(dpoly(Fraction(float(x))))
             got = alp_derivative_eval(n, k, float(x))
             assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
+
+
+def test_derivative_matches_exact_near_endpoints():
+    # the endpoints and their near neighbours, where dividing by x (1-x)
+    # would lose digits; measured worst error 1.8e-14 for n <= 40
+    for n in range(41):
+        for k in range(n + 1):
+            dpoly = alp_coefficients(n, k).derivative()
+            for x in (0.0, 1e-9, 1e-7, 1.0 - 1e-7, 1.0 - 1e-9, 1.0):
+                want = float(dpoly(Fraction(x)))
+                got = alp_derivative_eval(n, k, x)
+                assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), (n, k, x)
 
 
 def test_derivative_matches_finite_differences():

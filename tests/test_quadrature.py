@@ -16,16 +16,19 @@ import pytest
 from alpquad import (
     Polynomial,
     QuadratureRule,
+    RootFindingError,
     alp_coefficients,
     build_rule,
     exactness_report,
     expand_in_alp,
     integrate,
+    jacobi_eval,
     nodes,
     rule_to_csv,
     rule_to_json,
     weights,
 )
+from alpquad import quadrature
 
 # frozen 60-digit references (nodes ascending, weights in node order)
 GOLDEN_RULES = {
@@ -80,10 +83,43 @@ def test_nodes_bracket_true_roots_exactly():
                 assert deflated(lo) * deflated(hi) < 0, (n, k, x)
 
 
+def _deflated_sign(coeffs: list[int], y: Fraction) -> int:
+    # sign of q^d * P(p/q) = sum_i c_i p^i q^(d-i), all in integers
+    p, q = y.numerator, y.denominator
+    d = len(coeffs) - 1
+    total = sum(c * p**i * q ** (d - i) for i, c in enumerate(coeffs))
+    return (total > 0) - (total < 0)
+
+
+def test_nodes_within_one_ulp_of_true_roots():
+    # an exact sign change across x -+ 2^-52 puts a true root of the
+    # deflated polynomial that close to every node of every rule to n = 30
+    eps = Fraction(1, 2**52)
+    for n in range(1, 31):
+        for k in range(1, n + 1):
+            deflated = alp_coefficients(n, k - 1).shifted(-(k - 1))
+            coeffs = [int(c) for c in deflated.coeffs]
+            for x in nodes(n, k):
+                lo = _deflated_sign(coeffs, Fraction(x) - eps)
+                hi = _deflated_sign(coeffs, Fraction(x) + eps)
+                assert lo * hi < 0, (n, k, x)
+
+
 def test_node_validation():
     for bad in [(0, 1), (3, 0), (3, 4), (2, -1)]:
         with pytest.raises(ValueError):
             nodes(*bad)
+
+
+def test_nodes_reject_large_newton_correction(monkeypatch):
+    # a residual of 1 at every eigenvalue asks for a Newton step far above
+    # the bound, as a wrong matrix entry would
+    def shifted(m, alpha, beta, t):
+        return jacobi_eval(m, alpha, beta, t) + 1.0
+
+    monkeypatch.setattr(quadrature, "jacobi_eval", shifted)
+    with pytest.raises(RootFindingError):
+        nodes(5, 2)
 
 
 def test_weights_known_values():
@@ -220,6 +256,20 @@ def test_large_n_rules_stay_structurally_sound():
         table = dict(exactness_report(rule))
         for l in range(2 * k - 1, 2 * n + 1):
             assert table[l] <= 1e-9, (n, k, l)
+
+
+def test_rules_past_n30_keep_structure_and_window():
+    # window moments relative to 1/(l+1); measured worst 3.6e-14 to n = 100
+    for n in (40, 60):
+        for k in range(1, n + 1):
+            rule = build_rule(n, k)
+            assert len(rule.nodes) == n - k + 1
+            assert all(0.0 < x < 1.0 for x in rule.nodes)
+            assert all(a < b for a, b in zip(rule.nodes, rule.nodes[1:]))
+            assert all(w > 0.0 for w in rule.weights)
+            for l in range(2 * k - 1, 2 * n + 1):
+                got = math.fsum(w * x**l for x, w in zip(rule.nodes, rule.weights))
+                assert abs(got * (l + 1) - 1.0) <= 1e-12, (n, k, l)
 
 
 def test_expand_in_alp_examples():
