@@ -16,7 +16,7 @@ import sys
 
 from .family import alp_coefficients, alp_eval
 from .horner import horner
-from .quadrature import RootFindingError, build_rule, integrate, rule_to_csv, rule_to_json
+from .quadrature import RootFindingError, _fmt17, build_rule, integrate, rule_to_csv, rule_to_json
 from .verify import (
     expected_to_pass,
     reports_to_json_lines,
@@ -37,10 +37,6 @@ def _max_n() -> int:
         return int(raw)
     except ValueError:
         raise ValueError(f"ALP_MAX_N must be an integer, got {raw!r}") from None
-
-
-def _fmt17(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def _require(cond: bool, message: str) -> None:

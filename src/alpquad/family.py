@@ -217,11 +217,13 @@ class AlpFamily:
     """All members of the order-n family, exact and float forms, built once.
 
     Immutable after construction, so instances are safe to share across
-    threads. Evaluation uses compensated Horner on the converted
-    coefficients while those are exactly representable in double
-    (max |coeff| <= 2^53, true up to n ~ 27); beyond that it switches to
-    the numerically stable Jacobi-recurrence form x^k P^{(2k+1,0)}(1-2x),
-    since rounded monomial coefficients lose all significance there.
+    threads. Each member is evaluated by compensated Horner on its
+    converted coefficients while those are exactly representable in double
+    (max |coeff| <= 2^53), and otherwise by the numerically stable
+    Jacobi-recurrence form x^k P^{(2k+1,0)}(1-2x), since rounded monomial
+    coefficients lose all significance there. The switch is per member:
+    (23, 0) is the first to exceed 2^53, while Horner still serves 14 of
+    the 31 members at n = 30 and 12 of the 41 at n = 40 (the high k).
     """
 
     __slots__ = ("n", "_polys", "_fcoeffs", "_float_exact")
@@ -254,7 +256,7 @@ class AlpFamily:
     def weight_denominator(self, kmin: int, x):
         """sum_{l=kmin}^{n} (2l+1) P_nl(x)^2, the reciprocal of a quadrature weight."""
         _check_index(self.n, kmin)
-        total = 0.0 * x if hasattr(x, "shape") else 0.0
+        total = 0.0
         for l in range(kmin, self.n + 1):
             v = self.eval(l, x)
             total = total + (2 * l + 1) * v * v
@@ -289,27 +291,27 @@ def alp_eval_recurrence(n: int, x: float) -> list[float]:
     """Values [P_nn(x), ..., P_n0(x)] by the downward three-term recurrence.
 
     Independent of the Horner path; useful as a consistency check. The
-    recurrence carries a b/x term, so x = 0 is answered with the exact
-    limit values taken from the stored coefficients. The running pair is
-    kept as mantissas times a common power of two, so starting from
-    P_nn = x^n does not underflow for small x.
+    recurrence a x P_{n,k-1} = (b - c x) P_nk - d x P_{n,k+1} is run on the
+    deflated values Q_k = P_nk / x^k = P^{(2k+1,0)}_{n-k}(1-2x):
+
+        Q_n = 1,   a Q_{k-1} = (b - c x) Q_k - d x^2 Q_{k+1}.
+
+    Nothing divides by x, so x = 0 is an ordinary point, and on [0, 1] each
+    |Q_k| is bounded by Q_k(0) = C(n+k+1, n-k). Each value is scaled back
+    once as m^k Q_k 2^(k e), where x = m 2^e, so x^k is never formed by
+    itself and a value underflows only when P_nk(x) does.
     """
     if n < 0:
         raise ValueError(f"family order must be nonnegative, got {n}")
     _check_finite(x)
-    if x == 0.0:
-        return [float(alp_coefficients(n, k).coeff(0)) for k in range(n, -1, -1)]
     mant, exp = math.frexp(x)
-    cur, above, scale = mant**n, 0.0, n * exp  # P_nk = cur * 2^scale
-    out = [math.ldexp(cur, scale)]
+    q, above = 1.0, 0.0  # Q_k and Q_{k+1}
+    out = [math.ldexp(mant**n, n * exp)]
     for k in range(n, 0, -1):
         r = recurrence_coefficients(n, k)
         # the k = n step multiplies above by d_nn = 0
-        cur, above = ((r.b / x - r.c) * cur - r.d * above) / r.a, cur
-        cur, exp = math.frexp(cur)
-        above = math.ldexp(above, -exp)
-        scale += exp
-        out.append(math.ldexp(cur, scale))
+        q, above = ((r.b - r.c * x) * q - r.d * x * x * above) / r.a, q
+        out.append(math.ldexp(mant ** (k - 1) * q, (k - 1) * exp))
     return out
 
 

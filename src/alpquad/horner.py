@@ -45,7 +45,7 @@ def _two_prod(a, b):
 def comp_horner(coeffs: Sequence[float], x):
     """Compensated Horner evaluation, accurate to ~1 ulp for mild conditioning."""
     if len(coeffs) == 0:
-        return 0.0 * x if hasattr(x, "shape") else 0.0
+        return 0.0 * x
     s = coeffs[-1] + 0.0 * x  # broadcast against array inputs
     comp = 0.0 * s
     for c in reversed(coeffs[:-1]):

@@ -13,7 +13,7 @@ generalized binomial prefactor is what the reciprocity construction needs.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import factorial, prod
 
 from .exactpoly import Polynomial
 
@@ -38,19 +38,12 @@ def binomial_general(z: int, m: int) -> Fraction:
     """Binomial coefficient by the product formula, valid for negative z.
 
     C(z, m) = z (z-1) ... (z-m+1) / m!, which agrees with math.comb for
-    z >= m >= 0 and extends to the negative integer arguments the formal
-    reciprocity path produces.
+    z >= m >= 0, is 0 for 0 <= z < m (a factor vanishes) and extends to
+    the negative integer arguments the formal reciprocity path produces.
     """
     if m < 0:
         raise ValueError(f"m must be nonnegative, got {m}")
-    if z >= 0:
-        return Fraction(comb(z, m)) if z >= m else Fraction(0)
-    num = Fraction(1)
-    for i in range(m):
-        num *= z - i
-    for i in range(2, m + 1):
-        num /= i
-    return num
+    return Fraction(prod(range(z, z - m, -1)), factorial(m))
 
 
 def jacobi_shifted_coefficients(m: int, alpha: int, beta: int = 0) -> Polynomial:
@@ -93,9 +86,9 @@ def jacobi_eval(m: int, alpha: float, beta: float, t):
     """
     if m < 0:
         raise ValueError(f"degree must be nonnegative, got {m}")
+    pm2 = 1.0 + 0.0 * t  # broadcast against array inputs
     if m == 0:
-        return 1.0 + 0.0 * t if hasattr(t, "shape") else 1.0
-    pm2 = 1.0 + 0.0 * t if hasattr(t, "shape") else 1.0
+        return pm2
     pm1 = (alpha + 1) + (alpha + beta + 2) * (t - 1) / 2
     for j in range(2, m + 1):
         c0 = 2 * j * (j + alpha + beta) * (2 * j + alpha + beta - 2)
@@ -109,5 +102,5 @@ def jacobi_eval(m: int, alpha: float, beta: float, t):
 def jacobi_derivative_eval(m: int, alpha: float, beta: float, t):
     """d/dt P_m^{(alpha,beta)}(t) via the parameter-shifted identity."""
     if m == 0:
-        return 0.0 * t if hasattr(t, "shape") else 0.0
+        return 0.0 * t
     return 0.5 * (m + alpha + beta + 1) * jacobi_eval(m - 1, alpha + 1, beta + 1, t)

@@ -94,25 +94,28 @@ def _value_report(identity: str, n: int, k: int, value: Fraction, expected: Frac
     return IdentityReport(identity, n, k, diff == 0, str(abs(diff)), note)
 
 
+def _orthogonality_reports(
+    n: int, members: dict[int, Polynomial], names: tuple[str, str], sign_power, sign_note: str
+) -> list[IdentityReport]:
+    """Inner products of members keyed by consecutive k against 1/(k+l+1) on
+    the diagonal and 0 off it, then the sign of each member's coefficient of
+    x^sign_power(k) against (-1)^(k-n)."""
+    reports = []
+    for k, p in members.items():
+        for l in range(k, max(members) + 1):
+            expected = Fraction(1, k + l + 1) if k == l else Fraction(0)
+            val = inner_product(p, members[l])
+            reports.append(_value_report(names[0], n, k, val, expected, f"l={l}; expected {expected}"))
+        ok = (p.coeff(sign_power(k)) > 0) == ((k - n) % 2 == 0)
+        reports.append(IdentityReport(names[1], n, k, ok, "0" if ok else "1", sign_note))
+    return reports
+
+
 def verify_orthogonality(n: int) -> list[IdentityReport]:
     """Exact pairwise orthogonality, diagonal norms 1/(2k+1), and sign checks."""
-    fam = [alp_coefficients(n, k) for k in range(n + 1)]
-    reports = []
-    for k in range(n + 1):
-        for l in range(k, n + 1):
-            expected = Fraction(1, k + l + 1) if k == l else Fraction(0)
-            val = inner_product(fam[k], fam[l])
-            reports.append(
-                _value_report("orthogonality", n, k, val, expected, note=f"l={l}; expected {expected}")
-            )
-        sign_ok = (fam[k].coeff(n) > 0) == ((n - k) % 2 == 0)
-        reports.append(
-            IdentityReport(
-                "sign_normalization", n, k, sign_ok, "0" if sign_ok else "1",
-                note="sign of x^n coefficient must be (-1)^(n-k)",
-            )
-        )
-    return reports
+    fam = {k: alp_coefficients(n, k) for k in range(n + 1)}
+    note = "sign of x^n coefficient must be (-1)^(n-k)"
+    return _orthogonality_reports(n, fam, ("orthogonality", "sign_normalization"), lambda k: n, note)
 
 
 def verify_aux_orthogonality(n: int, kmax: int) -> list[IdentityReport]:
@@ -120,22 +123,8 @@ def verify_aux_orthogonality(n: int, kmax: int) -> list[IdentityReport]:
     if kmax < n:
         raise ValueError(f"kmax must be >= n, got n={n}, kmax={kmax}")
     aux = {k: aux_coefficients(n, k) for k in range(n, kmax + 1)}
-    reports = []
-    for k in range(n, kmax + 1):
-        for l in range(k, kmax + 1):
-            expected = Fraction(1, k + l + 1) if k == l else Fraction(0)
-            val = inner_product(aux[k], aux[l])
-            reports.append(
-                _value_report("aux_orthogonality", n, k, val, expected, note=f"l={l}; expected {expected}")
-            )
-        sign_ok = (aux[k].coeff(k) > 0) == ((k - n) % 2 == 0)
-        reports.append(
-            IdentityReport(
-                "aux_sign", n, k, sign_ok, "0" if sign_ok else "1",
-                note="sign of x^k coefficient must be (-1)^(k-n)",
-            )
-        )
-    return reports
+    note = "sign of x^k coefficient must be (-1)^(k-n)"
+    return _orthogonality_reports(n, aux, ("aux_orthogonality", "aux_sign"), lambda k: k, note)
 
 
 def _recurrence_residual(n: int, k: int) -> Polynomial:

@@ -1,5 +1,6 @@
 """CLI behaviour: formats, goldens, determinism, exit codes."""
 
+import hashlib
 import json
 import math
 
@@ -120,6 +121,14 @@ def test_verify_exit_zero_and_line_count(capsys):
     for line in lines:
         parsed = json.loads(line)
         assert set(parsed) == {"identity", "n", "k", "pass", "residual", "note"}
+
+
+def test_verify_json_stream_is_pinned(capsys):
+    # exact arithmetic makes the report stream (names, notes, order) a constant
+    code, out, _ = run_cli(capsys, "verify", "--max-n", "8", "--format", "json")
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "a8d39bb4d595c132104013e14899e3afe8da90b8c2b5180b4e025ae53f2a9976"
 
 
 def test_verify_max_n_zero(capsys):

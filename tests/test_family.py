@@ -211,6 +211,12 @@ def test_eval_array_input():
     assert vals.shape == xs.shape
     for x, v in zip(xs, vals):
         assert v == alp_eval(3, 1, float(x))
+    fam = family(4)
+    for kmin in (0, 2, 4):
+        dens = fam.weight_denominator(kmin, xs)
+        assert dens.shape == xs.shape
+        for x, d in zip(xs, dens):
+            assert d == fam.weight_denominator(kmin, float(x))
 
 
 def test_eval_matches_exact_rational():
@@ -261,6 +267,15 @@ def test_downward_recurrence_matches_exact_without_underflow():
         for idx, k in enumerate(range(n, -1, -1)):
             exact = float(alp_eval_exact(n, k, x))
             assert abs(vals[idx] - exact) <= 1e-12 * abs(exact), (n, k, x)
+    # subnormal x: no step divides by x, and each value is scaled back once
+    for x in (5e-324, 1e-310, 1e-300):
+        want = [float(alp_eval_exact(3, k, x)) for k in range(3, -1, -1)]
+        assert alp_eval_recurrence(3, x) == want, x
+    for x in (1e-12, 0.3, 0.999):
+        vals = alp_eval_recurrence(100, x)
+        for idx, k in enumerate(range(100, -1, -1)):
+            exact = float(alp_eval_exact(100, k, x))
+            assert abs(vals[idx] - exact) <= 1e-13 * max(1.0, abs(exact)), (k, x)
 
 
 def test_downward_recurrence_consistent_with_horner():

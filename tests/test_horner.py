@@ -45,6 +45,7 @@ def test_array_input():
     assert out.shape == xs.shape
     for x, v in zip(xs, out):
         assert v == comp_horner(coeffs, float(x))
+    assert np.array_equal(comp_horner([], xs), np.zeros_like(xs))
 
 
 @given(

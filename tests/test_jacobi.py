@@ -81,6 +81,9 @@ def test_recurrence_array_input():
     assert vals.shape == ts.shape
     for t, v in zip(ts, vals):
         assert v == jacobi_eval(3, 2, 0, float(t))
+    # degree zero broadcasts like every other degree
+    assert np.array_equal(jacobi_eval(0, 2, 0, ts), np.ones_like(ts))
+    assert np.array_equal(jacobi_derivative_eval(0, 2, 0, ts), np.zeros_like(ts))
 
 
 def test_derivative_eval_matches_expansion_derivative():
