@@ -1,8 +1,8 @@
 """Dense univariate polynomial arithmetic over exact rational coefficients.
 
-Everything here is exact: coefficients are `fractions.Fraction`, so equality
-checks and integrals are decisive (no floating point anywhere). Polynomials
-are immutable and hashable.
+Everything here is exact: coefficients are `int` when integral and
+`fractions.Fraction` otherwise, so equality checks and integrals are
+decisive (no floating point anywhere). Polynomials are immutable and hashable.
 """
 
 from __future__ import annotations
@@ -21,7 +21,10 @@ class Polynomial:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
-        cs = [Fraction(c) for c in coeffs]
+        # the one choice of exact scalar: Fraction converts floats, strings and numpy
+        # scalars exactly; an integral value is kept as the int it equals and hashes as
+        cs = [c if type(c) is int else Fraction(c) for c in coeffs]
+        cs = [c.numerator if c.denominator == 1 else c for c in cs]
         while cs and cs[-1] == 0:
             cs.pop()
         self._coeffs = tuple(cs)
@@ -37,7 +40,7 @@ class Polynomial:
         return cls([0] * power + [coeff])
 
     @property
-    def coeffs(self) -> tuple[Fraction, ...]:
+    def coeffs(self) -> tuple[Scalar, ...]:
         """Coefficients in ascending power order, trailing zeros stripped."""
         return self._coeffs
 
@@ -57,11 +60,11 @@ class Polynomial:
             raise ValueError("zero polynomial has no lowest power")
         return next(l for l, c in enumerate(self._coeffs) if c != 0)
 
-    def coeff(self, power: int) -> Fraction:
+    def coeff(self, power: int) -> Scalar:
         """Coefficient of x^power (zero outside the stored range)."""
         if 0 <= power < len(self._coeffs):
             return self._coeffs[power]
-        return Fraction(0)
+        return 0
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         a, b = self._coeffs, other._coeffs
@@ -79,16 +82,16 @@ class Polynomial:
         return Polynomial([-c for c in self._coeffs])
 
     def __mul__(self, other):
-        if isinstance(other, Polynomial):
-            if self.is_zero or other.is_zero:
-                return Polynomial()
-            out = [Fraction(0)] * (len(self._coeffs) + len(other._coeffs) - 1)
-            for i, a in enumerate(self._coeffs):
-                if a:
-                    for j, b in enumerate(other._coeffs):
-                        out[i + j] += a * b
-            return Polynomial(out)
-        return Polynomial([c * Fraction(other) for c in self._coeffs])
+        if not isinstance(other, Polynomial):
+            other = Polynomial([other])
+        if self.is_zero or other.is_zero:
+            return Polynomial()
+        out = [0] * (len(self._coeffs) + len(other._coeffs) - 1)
+        for i, a in enumerate(self._coeffs):
+            if a:
+                for j, b in enumerate(other._coeffs):
+                    out[i + j] += a * b
+        return Polynomial(out)
 
     __rmul__ = __mul__
 
@@ -97,7 +100,7 @@ class Polynomial:
         if powers >= 0:
             if self.is_zero:
                 return self
-            return Polynomial([Fraction(0)] * powers + list(self._coeffs))
+            return Polynomial([0] * powers + list(self._coeffs))
         drop = -powers
         if any(c != 0 for c in self._coeffs[:drop]):
             raise ValueError(f"polynomial is not divisible by x^{drop}")
@@ -108,10 +111,10 @@ class Polynomial:
 
     def integrate01(self) -> Fraction:
         """Exact integral over [0, 1]."""
-        return sum((c / (l + 1) for l, c in enumerate(self._coeffs)), Fraction(0))
+        return sum((Fraction(c, l + 1) for l, c in enumerate(self._coeffs)), Fraction(0))
 
-    def max_abs_coeff(self) -> Fraction:
-        return max((abs(c) for c in self._coeffs), default=Fraction(0))
+    def max_abs_coeff(self) -> Scalar:
+        return max((abs(c) for c in self._coeffs), default=0)
 
     def float_coeffs(self) -> tuple[float, ...]:
         return tuple(float(c) for c in self._coeffs)

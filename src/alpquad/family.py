@@ -89,9 +89,9 @@ def alp_coefficients(n: int, k: int) -> Polynomial:
     degree exactly n.
     """
     _check_index(n, k)
-    coeffs = [Fraction(0)] * (n + 1)
+    coeffs = [0] * (n + 1)
     for j in range(n - k + 1):
-        coeffs[k + j] = Fraction((-1) ** j * comb(n - k, j) * comb(n + k + 1 + j, n - k))
+        coeffs[k + j] = (-1) ** j * comb(n - k, j) * comb(n + k + 1 + j, n - k)
     return Polynomial(coeffs)
 
 
@@ -104,9 +104,7 @@ def alp_coefficients_rodrigues(n: int, k: int) -> Polynomial:
     _check_index(n, k)
     m = n - k
     # x^{n+k+1} (1-x)^m has coefficient (-1)^i C(m, i) at power n+k+1+i
-    prod = Polynomial(
-        [Fraction(0)] * (n + k + 1) + [Fraction((-1) ** i * comb(m, i)) for i in range(m + 1)]
-    )
+    prod = Polynomial([0] * (n + k + 1) + [(-1) ** i * comb(m, i) for i in range(m + 1)])
     for _ in range(m):
         prod = prod.derivative()
     return (prod * Fraction(1, math.factorial(m))).shifted(-(k + 1))
@@ -123,9 +121,9 @@ def alp_coefficients_hypergeometric(n: int, k: int, variant: str = CORRECTED) ->
     _check_variant(variant)
     m = n - k
     if variant == CORRECTED:
-        prefactor, c = Fraction(comb(n + k + 1, m)), 2 * k + 2
+        prefactor, c = comb(n + k + 1, m), 2 * k + 2
     else:
-        prefactor, c = Fraction(comb(n + k, m)), 2 * k + 1
+        prefactor, c = comb(n + k, m), 2 * k + 1
     series = [
         pochhammer(-m, j) * pochhammer(k + n + 2, j) / (pochhammer(c, j) * math.factorial(j))
         for j in range(m + 1)
@@ -157,7 +155,7 @@ def reciprocity_transform(n: int, k: int) -> Polynomial:
     _check_index(n, k)
     q = jacobi_shifted_coefficients(n - k, -2 * n - 2)
     # x^n * q(1/x): coefficient of u^j in q lands on x^{n-j}
-    out = [Fraction(0)] * (n + 1)
+    out = [0] * (n + 1)
     for j, c in enumerate(q.coeffs):
         out[n - j] = c
     return Polynomial(out)
@@ -226,21 +224,19 @@ class AlpFamily:
     the 31 members at n = 30 and 12 of the 41 at n = 40 (the high k).
     """
 
-    __slots__ = ("n", "_polys", "_fcoeffs", "_float_exact")
+    __slots__ = ("n", "_fcoeffs", "_float_exact")
 
     def __init__(self, n: int):
         if n < 0:
             raise ValueError(f"family order must be nonnegative, got {n}")
         self.n = n
-        self._polys = tuple(alp_coefficients(n, k) for k in range(n + 1))
-        self._fcoeffs = tuple(p.float_coeffs() for p in self._polys)
-        self._float_exact = tuple(
-            all(abs(c) <= _MAX_EXACT_FLOAT for c in p.coeffs) for p in self._polys
-        )
+        polys = [alp_coefficients(n, k) for k in range(n + 1)]
+        self._fcoeffs = tuple(p.float_coeffs() for p in polys)
+        self._float_exact = tuple(all(abs(c) <= _MAX_EXACT_FLOAT for c in p.coeffs) for p in polys)
 
     def polynomial(self, k: int) -> Polynomial:
         _check_index(self.n, k)
-        return self._polys[k]
+        return alp_coefficients(self.n, k)
 
     def float_coefficients(self, k: int) -> tuple[float, ...]:
         _check_index(self.n, k)

@@ -28,10 +28,7 @@ __all__ = [
 
 def pochhammer(a: int, m: int) -> Fraction:
     """Rising factorial a (a+1) ... (a+m-1); empty product for m = 0."""
-    out = Fraction(1)
-    for i in range(m):
-        out *= a + i
-    return out
+    return Fraction(prod(range(a, a + m)))
 
 
 def binomial_general(z: int, m: int) -> Fraction:
@@ -62,18 +59,17 @@ def jacobi_shifted_coefficients(m: int, alpha: int, beta: int = 0) -> Polynomial
     """
     if m < 0:
         raise ValueError(f"degree must be nonnegative, got {m}")
-    if alpha < 0 and 0 < -(alpha + 1) + 1 <= m:
+    if 0 < -alpha <= m:
         # (alpha+1)_j hits zero once alpha + j = 0, i.e. j = -alpha <= m
         raise ValueError(
             f"series denominator (alpha+1)_j vanishes for alpha={alpha}, m={m}"
         )
     prefactor = binomial_general(m + alpha, m)
-    coeffs = []
-    term = Fraction(1)
-    for j in range(m + 1):
-        coeffs.append(prefactor * term)
-        # ratio from u^j to u^{j+1}
-        term *= Fraction((-m + j) * (m + alpha + beta + 1 + j), (alpha + 1 + j) * (j + 1))
+    coeffs = [prefactor]
+    for j in range(m):
+        # ratio from u^j to u^{j+1}; the guard above keeps (alpha+1+j) nonzero for j < m
+        ratio = Fraction((-m + j) * (m + alpha + beta + 1 + j), (alpha + 1 + j) * (j + 1))
+        coeffs.append(coeffs[-1] * ratio)
     return Polynomial(coeffs)
 
 

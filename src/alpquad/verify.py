@@ -245,7 +245,7 @@ def suite_passes(reports) -> bool:
 def _solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
     """Gaussian elimination over Fraction; raises on a singular system."""
     m = len(rows)
-    aug = [list(rows[i]) + [rhs[i]] for i in range(m)]
+    aug = [[Fraction(c) for c in rows[i]] + [Fraction(rhs[i])] for i in range(m)]
     cols = len(rows[0])
     if m != cols:
         raise ValueError("square system required")

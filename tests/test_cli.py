@@ -131,6 +131,21 @@ def test_verify_json_stream_is_pinned(capsys):
     assert digest == "a8d39bb4d595c132104013e14899e3afe8da90b8c2b5180b4e025ae53f2a9976"
 
 
+@pytest.mark.parametrize(
+    "fmt, want",
+    [
+        ("text", "1e7c8a5f7779486a6a25d3471dc12e1aa88da759e51976de17915f31cda13b49"),
+        ("csv", "7c57b9a1053970709c6b7c218fb3312bc8c59e8c980ee810b0b39eb0f994fb70"),
+        ("json", "93afbe46003b1eca8e57f56a2db7cbc479974003cc6f1a07fb84665391cf0703"),
+    ],
+)
+def test_verify_stream_is_pinned_at_max_n_12(capsys, fmt, want):
+    # the residual strings are pinned as well: an integral residual prints as 5, never 5/1
+    code, out, _ = run_cli(capsys, "verify", "--max-n", "12", "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == want
+
+
 def test_verify_max_n_zero(capsys):
     code, _, _ = run_cli(capsys, "verify", "--max-n", "0")
     assert code == 0

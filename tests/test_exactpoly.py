@@ -21,6 +21,17 @@ def test_construction_strips_trailing_zeros():
     assert Polynomial().degree == -1
 
 
+def test_integral_coefficients_are_stored_as_int():
+    p = Polynomial([Fraction(6, 3), 0.5, "1/3"])
+    assert p.coeffs == (2, Fraction(1, 2), Fraction(1, 3))
+    assert type(p.coeffs[0]) is int
+    same = Polynomial([2, Fraction(1, 2), Fraction(1, 3)])
+    assert p == same and hash(p) == hash(same)
+    assert type(p.coeff(7)) is int
+    assert type(Polynomial([3, -5]).max_abs_coeff()) is int
+    assert type(Polynomial().max_abs_coeff()) is int
+
+
 def test_monomial_and_low_power():
     m = Polynomial.monomial(3, 5)
     assert m.coeffs == (0, 0, 0, 5)
@@ -50,6 +61,8 @@ def test_scalar_multiplication_and_shift():
     p = Polynomial([1, 2])
     assert 3 * p == Polynomial([3, 6])
     assert Fraction(1, 2) * p == Polynomial([Fraction(1, 2), 1])
+    # a float scalar converts exactly, so a large coefficient keeps every digit
+    assert Polynomial([3**40, 1]) * 0.1 == Polynomial([3**40 * Fraction(0.1), Fraction(0.1)])
     assert p.shifted(2) == Polynomial([0, 0, 1, 2])
     assert Polynomial([0, 0, 7]).shifted(-2) == Polynomial([7])
     with pytest.raises(ValueError):
@@ -63,6 +76,8 @@ def test_derivative():
 
 def test_integrate01_basics():
     assert Polynomial([1]).integrate01() == 1
+    assert type(Polynomial([1]).integrate01()) is Fraction
+    assert type(Polynomial([3, -12, 10]).integrate01()) is Fraction
     assert Polynomial.monomial(7).integrate01() == Fraction(1, 8)
     # integral of P_20 over [0,1] equals 1/(n+1)
     assert alp_coefficients(2, 0).integrate01() == Fraction(1, 3)
@@ -74,6 +89,7 @@ def test_inner_product_examples():
     assert inner_product(alp_coefficients(2, 0), alp_coefficients(2, 1)) == 0
     one = Polynomial([1])
     assert inner_product(one, one) == 1
+    assert type(inner_product(one, one)) is Fraction
 
 
 def test_exact_evaluation():
@@ -107,3 +123,49 @@ def test_product_degree_additive(p, q):
         assert prod.is_zero
     else:
         assert prod.degree == p.degree + q.degree
+
+
+exact_scalars = st.one_of(
+    st.integers(-9, 9), st.fractions(min_value=-9, max_value=9, max_denominator=6)
+)
+coeff_lists = st.lists(exact_scalars, max_size=6)
+
+
+def _reference(cs) -> tuple:
+    """Plain-Fraction coefficients with trailing zeros stripped."""
+    out = [Fraction(c) for c in cs]
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def _padded(cs, size: int) -> list:
+    return [Fraction(c) for c in cs] + [Fraction(0)] * (size - len(cs))
+
+
+@given(coeff_lists, coeff_lists, exact_scalars, st.fractions(min_value=-3, max_value=3))
+def test_arithmetic_matches_fraction_reference(a, b, s, x):
+    p, q = Polynomial(a), Polynomial(b)
+    size = max(len(a), len(b))
+    conv = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            conv[i + j] += Fraction(ca) * Fraction(cb)
+    cases = [
+        (p + q, [u + v for u, v in zip(_padded(a, size), _padded(b, size))]),
+        (p - q, [u - v for u, v in zip(_padded(a, size), _padded(b, size))]),
+        (p * q, conv),
+        (p * s, [Fraction(c) * s for c in a]),
+        (s * p, [Fraction(c) * s for c in a]),
+        (p.derivative(), [l * Fraction(c) for l, c in enumerate(a)][1:]),
+    ]
+    for got, want in cases:
+        assert got.coeffs == _reference(want)
+        for c in got.coeffs:
+            assert type(c) is (int if c.denominator == 1 else Fraction)
+    integral = p.integrate01()
+    assert integral == sum((Fraction(c) / (l + 1) for l, c in enumerate(a)), Fraction(0))
+    assert type(integral) is Fraction
+    value = p(x)
+    assert value == sum((Fraction(c) * x**l for l, c in enumerate(a)), Fraction(0))
+    assert type(value) is Fraction

@@ -88,6 +88,19 @@ def test_explicit_structure():
             assert (p.coeff(n) > 0) == ((n - k) % 2 == 0)
 
 
+def test_integer_routes_build_int_coefficients():
+    for n in range(13):
+        for k in range(n + 1):
+            for p in (
+                alp_coefficients(n, k),
+                alp_coefficients_rodrigues(n, k),
+                reciprocity_transform(n, k),
+                alp_coefficients_jacobi(n, k),
+                aux_coefficients(k, n),
+            ):
+                assert all(type(c) is int for c in p.coeffs), (n, k, p)
+
+
 def test_near_zero_behaviour():
     # P_nk(x) / x^k -> C(n+k+1, n-k) as x -> 0
     for n, k in [(4, 2), (7, 0), (9, 9)]:
@@ -224,6 +237,7 @@ def test_eval_matches_exact_rational():
         for k in range(n + 1):
             for x in (0.0, 0.17, 0.5, 0.83, 1.0):
                 exact = alp_eval_exact(n, k, x)
+                assert type(exact) is Fraction
                 got = alp_eval(n, k, x)
                 if exact == 0:
                     assert got == 0.0

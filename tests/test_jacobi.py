@@ -53,6 +53,13 @@ def test_shifted_expansion_rejects_vanishing_denominator():
         jacobi_shifted_coefficients(3, -2)
 
 
+def test_shifted_expansion_at_alpha_minus_m_minus_one():
+    # no (alpha+1)_j with j <= m vanishes at alpha = -m-1; the prefactor
+    # C(-1, m) = (-1)^m survives and (0)_j kills every higher term
+    for m in range(1, 7):
+        assert jacobi_shifted_coefficients(m, -m - 1) == Polynomial([(-1) ** m])
+
+
 def test_shifted_expansion_beta_one():
     # P_1^{(2,1)}(1-2u) = 3 - 5u
     assert jacobi_shifted_coefficients(1, 2, beta=1) == Polynomial([3, -5])

@@ -157,6 +157,7 @@ def test_lowering_fit_reproduces_corrected_mu():
     for n in range(1, 13):
         for k in range(1, n + 1):
             lam, mu, nu = fit_lowering_coefficients(n, k)
+            assert all(type(v) in (int, Fraction) for v in (lam, mu, nu))
             assert lam == 2 * k * (k + 1)
             assert nu == (n - k + 1) * (n + k + 1)
             assert mu == (n + 1) ** 2 + k * k + 2 * k
