@@ -78,7 +78,8 @@ def jacobi_eval(m: int, alpha: float, beta: float, t):
 
     Accepts scalar or ndarray t. Forward recurrence on the dominant
     solution; relative error stays near machine precision for the integer
-    parameter ranges used here (alpha <= ~60, m <= ~30).
+    parameter ranges the quadrature tests certify (alpha up to 799, m up
+    to 400).
     """
     if m < 0:
         raise ValueError(f"degree must be nonnegative, got {m}")

@@ -8,6 +8,7 @@ with 60-digit arithmetic and are frozen here.
 
 import json
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -23,6 +24,7 @@ from alpquad import (
     expand_in_alp,
     integrate,
     jacobi_eval,
+    jacobi_shifted_coefficients,
     nodes,
     rule_to_csv,
     rule_to_json,
@@ -83,11 +85,15 @@ def test_nodes_bracket_true_roots_exactly():
                 assert deflated(lo) * deflated(hi) < 0, (n, k, x)
 
 
-def _deflated_sign(coeffs: list[int], y: Fraction) -> int:
-    # sign of q^d * P(p/q) = sum_i c_i p^i q^(d-i), all in integers
+def _scaled_value(coeffs: list[int], y: Fraction) -> int:
+    # q^d * P(p/q) = sum_i c_i p^i q^(d-i), all in integers
     p, q = y.numerator, y.denominator
     d = len(coeffs) - 1
-    total = sum(c * p**i * q ** (d - i) for i, c in enumerate(coeffs))
+    return sum(c * p**i * q ** (d - i) for i, c in enumerate(coeffs))
+
+
+def _deflated_sign(coeffs: list[int], y: Fraction) -> int:
+    total = _scaled_value(coeffs, y)
     return (total > 0) - (total < 0)
 
 
@@ -137,6 +143,68 @@ def test_weights_reject_outside_nodes():
         weights(2, 1, [0.5, 1.0])
     with pytest.raises(ValueError):
         weights(2, 1, [0.0])
+    # the message names the first point outside (0, 1)
+    with pytest.raises(ValueError, match="node nan outside"):
+        weights(2, 1, [0.5, math.nan])
+    with pytest.raises(ValueError, match="node inf outside"):
+        weights(2, 1, [math.inf])
+    with pytest.raises(ValueError, match="node -inf outside"):
+        weights(2, 1, [0.5, -math.inf, 2.0])
+
+
+def test_build_rule_rejects_nonfinite_weight(monkeypatch):
+    def infinite(n, k, xs):
+        return tuple(math.inf for _ in xs)
+
+    monkeypatch.setattr(quadrature, "weights", infinite)
+    with pytest.raises(RootFindingError):
+        build_rule(3, 1)
+
+
+def _exact_weight(n: int, k: int, x: float) -> Fraction:
+    # 1 / sum_{l=k}^{n} (2l+1) P_nl(x)^2 at the exact rational value of x;
+    # every P_nl has degree n, so q^n P_nl(p/q) is an integer
+    y = Fraction(x)
+    total = sum(
+        (2 * l + 1) * _scaled_value(list(alp_coefficients(n, l).coeffs), y) ** 2
+        for l in range(k, n + 1)
+    )
+    return Fraction(y.denominator ** (2 * n), total)
+
+
+def _relative_error(got: float, exact: Fraction) -> float:
+    return float(abs(Fraction(got) - exact) / exact)
+
+
+def test_weights_match_exact_kernel_at_nodes():
+    # measured worst 1.4e-14, at (40, 1)
+    cases = [(n, k) for n in range(1, 17) for k in range(1, n + 1)]
+    cases += [(40, k) for k in (1, 2, 20, 40)]
+    for n, k in cases:
+        rule = build_rule(n, k)
+        for x, w in zip(rule.nodes, rule.weights):
+            assert _relative_error(w, _exact_weight(n, k, x)) <= 2.5e-14, (n, k, x)
+
+
+def test_weights_match_exact_kernel_away_from_nodes():
+    # weights() is the reciprocal kernel at any point of (0, 1), not only at
+    # the nodes; within 1e-6 of either end the recurrence loses more digits,
+    # measured worst 4.3e-14 at (40, 1, 1e-6), where the member-by-member
+    # sum it replaces reached 2.8e-14
+    rng = random.Random(7)
+    for _ in range(50):
+        n = rng.randint(1, 40)
+        k = rng.randint(1, n)
+        x = rng.random()
+        (w,) = weights(n, k, [x])
+        assert _relative_error(w, _exact_weight(n, k, x)) <= 1e-14, (n, k, x)
+    ends = [1e-12, 1e-8, 1e-6, 1.0 - 1e-6]
+    for k in (1, 2, 6, 40):
+        for x in ends:
+            exact = _exact_weight(40, k, x)
+            if exact < Fraction(10) ** 300:
+                (w,) = weights(40, k, [x])
+                assert _relative_error(w, exact) <= 5e-14, (k, x)
 
 
 def test_golden_rules():
@@ -270,6 +338,35 @@ def test_rules_past_n30_keep_structure_and_window():
             for l in range(2 * k - 1, 2 * n + 1):
                 got = math.fsum(w * x**l for x, w in zip(rule.nodes, rule.weights))
                 assert abs(got * (l + 1) - 1.0) <= 1e-12, (n, k, l)
+
+
+def test_large_n_rules_keep_structure_and_window():
+    # sampled window moments relative to 1/(l+1); measured worst 8.1e-14
+    for n in (100, 200, 400):
+        for k in (1, 2, n // 2, n - 1, n):
+            rule = build_rule(n, k)
+            assert len(rule.nodes) == n - k + 1
+            assert all(0.0 < x < 1.0 for x in rule.nodes)
+            assert all(a < b for a, b in zip(rule.nodes, rule.nodes[1:]))
+            assert all(0.0 < w < math.inf for w in rule.weights)
+            window = range(2 * k - 1, 2 * n + 1)
+            for l in sorted({window[0], window[-1], *window[:: max(1, len(window) // 16)]}):
+                got = math.fsum(w * x**l for x, w in zip(rule.nodes, rule.weights))
+                assert abs(got * (l + 1) - 1.0) <= 2e-13, (n, k, l)
+
+
+def test_weights_rescale_where_the_kernel_sum_overflows():
+    # at (400, 200) and x = 1/16 the sum of q_i^2 passes the double range;
+    # exact P_nl(x) = x^l P^{(2l+1,0)}_{n-l}(1-2x) gives the reference
+    n, k, x = 400, 200, 0.0625
+    total = 0
+    for l in range(k, n + 1):
+        jac = list(jacobi_shifted_coefficients(n - l, 2 * l + 1).coeffs)
+        # 16^(n-l) J(1/16), so 16^n P_nl(1/16) is this integer
+        total += (2 * l + 1) * _scaled_value(jac, Fraction(x)) ** 2
+    exact = Fraction(16 ** (2 * n), total)
+    (w,) = weights(n, k, [x])
+    assert _relative_error(w, exact) <= 1e-14
 
 
 def test_expand_in_alp_examples():
