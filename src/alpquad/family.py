@@ -24,11 +24,10 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-import numpy as np
-
 from .exactpoly import Polynomial
 from .horner import comp_horner
 from .jacobi import (
+    _finite_points,
     jacobi_derivative_eval,
     jacobi_eval,
     jacobi_shifted_coefficients,
@@ -70,14 +69,6 @@ def _check_index(n: int, k: int) -> None:
 def _check_variant(variant: str) -> None:
     if variant not in (CORRECTED, PUBLISHED):
         raise ValueError(f"variant must be {CORRECTED!r} or {PUBLISHED!r}, got {variant!r}")
-
-
-def _check_finite(x) -> None:
-    if isinstance(x, np.ndarray):
-        if not np.isfinite(x).all():
-            raise ValueError("evaluation points must all be finite")
-    elif isinstance(x, (int, float)) and not math.isfinite(x):
-        raise ValueError(f"evaluation point must be finite, got {x}")
 
 
 @lru_cache(maxsize=None)
@@ -273,7 +264,7 @@ def alp_eval(n: int, k: int, x):
     gracefully for larger n.
     """
     _check_index(n, k)
-    _check_finite(x)
+    x = _finite_points(x)
     return family(n).eval(k, x)
 
 
@@ -299,7 +290,7 @@ def alp_eval_recurrence(n: int, x: float) -> list[float]:
     """
     if n < 0:
         raise ValueError(f"family order must be nonnegative, got {n}")
-    _check_finite(x)
+    x = _finite_points(x)
     mant, exp = math.frexp(x)
     q, above = 1.0, 0.0  # Q_k and Q_{k+1}
     out = [math.ldexp(mant**n, n * exp)]
@@ -319,7 +310,7 @@ def alp_derivative_eval(n: int, k: int, x: float) -> float:
     ordinary points.
     """
     _check_index(n, k)
-    _check_finite(x)
+    x = _finite_points(x)
     t = 1.0 - 2.0 * x
     dj = jacobi_derivative_eval(n - k, 2 * k + 1, 0, t)
     if k == 0:
@@ -363,5 +354,5 @@ def aux_eval(n: int, k: int, x):
     For n = 0 these are the Legendre polynomials shifted to [0, 1].
     """
     _check_aux_index(n, k)
-    _check_finite(x)
+    x = _finite_points(x)
     return x**n * jacobi_eval(k - n, 2 * n, 0, 1.0 - 2.0 * x)

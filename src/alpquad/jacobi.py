@@ -12,6 +12,8 @@ generalized binomial prefactor is what the reciprocity construction needs.
 
 from __future__ import annotations
 
+import math
+import sys
 from fractions import Fraction
 from math import factorial, prod
 
@@ -73,16 +75,39 @@ def jacobi_shifted_coefficients(m: int, alpha: int, beta: int = 0) -> Polynomial
     return Polynomial(coeffs)
 
 
+def _finite_points(x):
+    """x as evaluation points: Python numbers as given, numpy input in at
+    least double precision. Raises ValueError on a non-finite point.
+
+    numpy is looked up, never imported: until something has imported it, x
+    cannot be a numpy object, so the scalar paths run without it.
+    """
+    if isinstance(x, (int, float)):
+        if not math.isfinite(x):
+            raise ValueError(f"evaluation point must be finite, got {x}")
+        return x
+    np = sys.modules.get("numpy")
+    if np is not None and isinstance(x, (np.ndarray, np.generic)):
+        # float16/float32 points would run the Dekker split (which assumes
+        # double) and every recurrence in that precision
+        x = x.astype(np.promote_types(x.dtype, np.float64), copy=False)
+        if not np.isfinite(x).all():
+            raise ValueError("evaluation points must all be finite")
+    return x
+
+
 def jacobi_eval(m: int, alpha: float, beta: float, t):
     """P_m^{(alpha,beta)}(t) by the standard three-term recurrence.
 
-    Accepts scalar or ndarray t. Forward recurrence on the dominant
-    solution; relative error stays near machine precision for the integer
-    parameter ranges the quadrature tests certify (alpha up to 799, m up
-    to 400).
+    Accepts scalar or ndarray t; numpy input narrower than double is
+    evaluated in double, and a non-finite t raises ValueError. Forward
+    recurrence on the dominant solution; relative error stays near machine
+    precision for the integer parameter ranges the quadrature tests
+    certify (alpha up to 799, m up to 400).
     """
     if m < 0:
         raise ValueError(f"degree must be nonnegative, got {m}")
+    t = _finite_points(t)
     pm2 = 1.0 + 0.0 * t  # broadcast against array inputs
     if m == 0:
         return pm2

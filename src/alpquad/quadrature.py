@@ -25,13 +25,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .exactpoly import Polynomial, inner_product
 from .family import alp_coefficients
 from .jacobi import jacobi_derivative_eval, jacobi_eval
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "RootFindingError",
@@ -76,6 +77,8 @@ def _jacobi_matrix(m: int, a: int) -> tuple[np.ndarray, np.ndarray]:
     The polynomials p_j orthonormal for (1-t)^a on [-1, 1] satisfy
     t p_j = off[j-1] p_{j-1} + diag[j] p_j + off[j] p_{j+1}.
     """
+    import numpy as np
+
     j = np.arange(m, dtype=float)
     s = 2.0 * j + a
     diag = -a * a / (s * (s + 2.0))
@@ -94,6 +97,8 @@ def nodes(n: int, k: int) -> tuple[float, ...]:
     one Newton step on the Jacobi recurrence. Raises RootFindingError
     rather than ever returning a node set that fails its checks.
     """
+    import numpy as np
+
     _check_rule_index(n, k)
     m, a = n - k + 1, 2 * k - 1
     diag, off = _jacobi_matrix(m, a)
@@ -132,6 +137,8 @@ def weights(n: int, k: int, rule_nodes: Sequence[float]) -> tuple[float, ...]:
     the first such point, and a weight beyond the double range comes
     back as inf.
     """
+    import numpy as np
+
     _check_rule_index(n, k)
     x = np.asarray(rule_nodes, dtype=float)
     inside = (0.0 < x) & (x < 1.0)

@@ -3,9 +3,13 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import alpquad
 from alpquad import cli
 from alpquad.quadrature import RootFindingError
 
@@ -14,6 +18,12 @@ def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def run_fresh(*args):
+    """A new interpreter (`python <args>`) importing this alpquad; stdout as bytes."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(alpquad.__file__)))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, timeout=120)
 
 
 def test_coeffs_text(capsys):
@@ -200,3 +210,53 @@ def test_internal_failure_maps_to_exit_3(capsys, monkeypatch):
     monkeypatch.setattr(cli, "build_rule", boom)
     code, _, err = run_cli(capsys, "rule", "--n", "3", "--k", "1")
     assert code == 3 and "simulated" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["coeffs", "--n", "12", "--k", "5", "--format", "json"],
+        ["rule", "--n", "20", "--k", "6", "--format", "csv"],
+        ["verify", "--max-n", "2", "--format", "json"],
+    ],
+)
+def test_module_entry_point_matches_main(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    proc = run_fresh("-m", "alpquad", *argv)
+    assert proc.returncode == code == 0
+    assert proc.stdout == out.encode()
+
+
+def test_numpy_stays_off_the_import_path():
+    # coeffs, eval and verify run on the exact core and scalar floats alone;
+    # only node finding needs numpy (eigvalsh)
+    script = """
+import contextlib, io, sys
+import alpquad, alpquad.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (["coeffs", "--n", "30", "--k", "7"], ["eval", "--n", "30", "--k", "3", "--x", "0.3"],
+                 ["eval", "--n", "20", "--k", "3", "--x", "0.3"], ["verify", "--max-n", "2"]):
+        assert alpquad.cli.main(argv) == 0
+print("numpy" in sys.modules)
+with contextlib.redirect_stdout(io.StringIO()):
+    assert alpquad.cli.main(["rule", "--n", "3", "--k", "1"]) == 0
+print("numpy" in sys.modules)
+"""
+    proc = run_fresh("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [b"False", b"True"]
+
+
+def test_array_made_after_import_is_checked():
+    # numpy imported after alpquad: the finiteness check must still see it
+    script = """
+import alpquad
+import numpy as np
+try:
+    alpquad.alp_eval(3, 1, np.array([0.5, np.nan]))
+except ValueError:
+    print("rejected")
+"""
+    proc = run_fresh("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [b"rejected"]

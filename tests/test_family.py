@@ -218,6 +218,37 @@ def test_array_eval_rejects_nonfinite():
             aux_eval(1, 2, bad)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float16])
+def test_narrow_float_input_evaluates_in_double(dtype):
+    # (20, 3) is a Horner member, (30, 3) a Jacobi one; the Dekker split
+    # and the recurrences assume double, so float32 input used to return
+    # 1.6228607 for P_{20,3}(0.3)
+    pts = np.array([0.0, 0.05, 0.3, 0.6, 0.97, 1.0], dtype=dtype)
+    for n, k in ((20, 3), (30, 3), (6, 0)):
+        got = alp_eval(n, k, pts)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, alp_eval(n, k, pts.astype(np.float64)))
+        assert np.array_equal(aux_eval(k, n, pts), aux_eval(k, n, pts.astype(np.float64)))
+        for x in pts:
+            assert alp_eval(n, k, x) == alp_eval(n, k, float(x))
+            assert aux_eval(k, n, x) == aux_eval(k, n, float(x))
+            assert alp_derivative_eval(n, k, x) == alp_derivative_eval(n, k, float(x))
+        assert alp_eval_recurrence(n, pts[2]) == alp_eval_recurrence(n, float(pts[2]))
+    assert alp_eval(20, 3, dtype(0.3)) == pytest.approx(alp_eval_exact(20, 3, float(dtype(0.3))), rel=1e-14)
+
+
+def test_narrow_float_nonfinite_rejected():
+    for bad in (np.float32("nan"), np.float16("inf"), np.array([0.5, np.nan], dtype=np.float32)):
+        for call in (alp_eval, alp_derivative_eval):
+            with pytest.raises(ValueError):
+                call(3, 1, bad)
+        with pytest.raises(ValueError):
+            aux_eval(1, 2, bad)
+    for bad in (np.float32("nan"), np.float16("inf")):
+        with pytest.raises(ValueError):
+            alp_eval_recurrence(3, bad)
+
+
 def test_eval_array_input():
     xs = np.linspace(0.0, 1.0, 9)
     vals = alp_eval(3, 1, xs)

@@ -93,6 +93,25 @@ def test_recurrence_array_input():
     assert np.array_equal(jacobi_derivative_eval(0, 2, 0, ts), np.zeros_like(ts))
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float16])
+def test_narrow_float_input_evaluates_in_double(dtype):
+    ts = np.array([-1.0, -0.2, 0.4, 0.75, 1.0], dtype=dtype)
+    got = jacobi_eval(20, 3, 0, ts)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, jacobi_eval(20, 3, 0, ts.astype(np.float64)))
+    for t in ts:
+        assert jacobi_eval(20, 3, 0, t) == jacobi_eval(20, 3, 0, float(t))
+    # float32 arithmetic gave 0.27912596 here
+    want = float(jacobi_shifted_coefficients(20, 3)(Fraction((1 - float(dtype(0.4))) / 2)))
+    assert jacobi_eval(20, 3, 0, dtype(0.4)) == pytest.approx(want, rel=1e-13)
+
+
+def test_eval_rejects_nonfinite():
+    for bad in (float("nan"), float("inf"), np.float32("nan"), np.float16("inf"), np.array([0.0, np.nan])):
+        with pytest.raises(ValueError):
+            jacobi_eval(3, 2, 0, bad)
+
+
 def test_derivative_eval_matches_expansion_derivative():
     m, alpha = 4, 3
     poly = jacobi_shifted_coefficients(m, alpha)  # polynomial in u, t = 1-2u
