@@ -28,6 +28,8 @@ from .verify import (
 
 _NAMED_INTEGRANDS = {"exp": math.exp, "sin": math.sin, "log1p": math.log1p}
 _DEFAULT_MAX_N = 30
+# largest verify --max-n; README gives the measured time of a run at the cap
+_VERIFY_MAX_N = 30
 
 
 def _max_n() -> int:
@@ -107,7 +109,7 @@ def _cmd_integrate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    _require(0 <= args.max_n <= 12, "require 0 <= max-n <= 12")
+    _require(0 <= args.max_n <= _VERIFY_MAX_N, f"require 0 <= max-n <= {_VERIFY_MAX_N}")
     reports = verify_identity_suite(args.max_n)
     for n in range(args.max_n + 1):
         reports.extend(verify_orthogonality(n))

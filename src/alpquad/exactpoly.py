@@ -7,6 +7,7 @@ decisive (no floating point anywhere). Polynomials are immutable and hashable.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -15,16 +16,21 @@ Scalar = Union[int, Fraction]
 __all__ = ["Polynomial", "inner_product"]
 
 
+def _exact(c) -> Scalar:
+    # the one choice of exact scalar: Fraction converts floats, strings and numpy
+    # scalars exactly; an integral value is kept as the int it equals and hashes as
+    if type(c) is not Fraction:
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 class Polynomial:
     """Immutable dense polynomial, coefficient of x^l stored at index l."""
 
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
-        # the one choice of exact scalar: Fraction converts floats, strings and numpy
-        # scalars exactly; an integral value is kept as the int it equals and hashes as
-        cs = [c if type(c) is int else Fraction(c) for c in coeffs]
-        cs = [c.numerator if c.denominator == 1 else c for c in cs]
+        cs = [c if type(c) is int else _exact(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self._coeffs = tuple(cs)
@@ -110,8 +116,10 @@ class Polynomial:
         return Polynomial([l * c for l, c in enumerate(self._coeffs)][1:])
 
     def integrate01(self) -> Fraction:
-        """Exact integral over [0, 1]."""
-        return sum((Fraction(c, l + 1) for l, c in enumerate(self._coeffs)), Fraction(0))
+        """Exact integral over [0, 1], summed over the common denominator lcm(1, ..., d+1)."""
+        cs = self._coeffs
+        den = math.lcm(*range(1, len(cs) + 1))
+        return Fraction(sum(c * (den // (l + 1)) for l, c in enumerate(cs)), den)
 
     def max_abs_coeff(self) -> Scalar:
         return max((abs(c) for c in self._coeffs), default=0)

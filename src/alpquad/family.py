@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, perm
 
 from .exactpoly import Polynomial
 from .horner import comp_horner
@@ -31,7 +31,6 @@ from .jacobi import (
     jacobi_derivative_eval,
     jacobi_eval,
     jacobi_shifted_coefficients,
-    pochhammer,
 )
 
 __all__ = [
@@ -94,11 +93,13 @@ def alp_coefficients_rodrigues(n: int, k: int) -> Polynomial:
     """
     _check_index(n, k)
     m = n - k
-    # x^{n+k+1} (1-x)^m has coefficient (-1)^i C(m, i) at power n+k+1+i
-    prod = Polynomial([0] * (n + k + 1) + [(-1) ** i * comb(m, i) for i in range(m + 1)])
-    for _ in range(m):
-        prod = prod.derivative()
-    return (prod * Fraction(1, math.factorial(m))).shifted(-(k + 1))
+    # x^{n+k+1} (1-x)^m has coefficient (-1)^i C(m, i) at power p = n+k+1+i, and
+    # the m-th derivative takes x^p to perm(p, m) x^{p-m}, all in one pass
+    fm = math.factorial(m)
+    deriv = [0] * (2 * k + 1) + [
+        Fraction((-1) ** i * comb(m, i) * perm(n + k + 1 + i, m), fm) for i in range(m + 1)
+    ]
+    return Polynomial(deriv).shifted(-(k + 1))
 
 
 def alp_coefficients_hypergeometric(n: int, k: int, variant: str = CORRECTED) -> Polynomial:
@@ -115,11 +116,14 @@ def alp_coefficients_hypergeometric(n: int, k: int, variant: str = CORRECTED) ->
         prefactor, c = comb(n + k + 1, m), 2 * k + 2
     else:
         prefactor, c = comb(n + k, m), 2 * k + 1
-    series = [
-        pochhammer(-m, j) * pochhammer(k + n + 2, j) / (pochhammer(c, j) * math.factorial(j))
-        for j in range(m + 1)
-    ]
-    return (prefactor * Polynomial(series)).shifted(k)
+    # prefactor (-m)_j (k+n+2)_j over (c)_j j!, each Pochhammer product kept as an integer
+    series = []
+    num, den = prefactor, 1
+    for j in range(m + 1):
+        series.append(Fraction(num, den))
+        num *= (j - m) * (k + n + 2 + j)
+        den *= (c + j) * (j + 1)
+    return Polynomial([0] * k + series)
 
 
 def alp_coefficients_jacobi(n: int, k: int, variant: str = CORRECTED) -> Polynomial:
@@ -234,8 +238,13 @@ class AlpFamily:
         return self._fcoeffs[k]
 
     def eval(self, k: int, x):
-        """P_nk(x) for scalar or ndarray x."""
+        """P_nk(x) for scalar or ndarray x; numpy input narrower than double
+        is evaluated in double, and a non-finite x raises ValueError."""
         _check_index(self.n, k)
+        return self._eval(k, _finite_points(x))
+
+    def _eval(self, k: int, x):
+        # x already checked and widened by _finite_points
         if self._float_exact[k]:
             return comp_horner(self._fcoeffs[k], x)
         return x**k * jacobi_eval(self.n - k, 2 * k + 1, 0, 1.0 - 2.0 * x)
@@ -243,9 +252,10 @@ class AlpFamily:
     def weight_denominator(self, kmin: int, x):
         """sum_{l=kmin}^{n} (2l+1) P_nl(x)^2, the reciprocal of a quadrature weight."""
         _check_index(self.n, kmin)
+        x = _finite_points(x)
         total = 0.0
         for l in range(kmin, self.n + 1):
-            v = self.eval(l, x)
+            v = self._eval(l, x)
             total = total + (2 * l + 1) * v * v
         return total
 
@@ -264,7 +274,6 @@ def alp_eval(n: int, k: int, x):
     gracefully for larger n.
     """
     _check_index(n, k)
-    x = _finite_points(x)
     return family(n).eval(k, x)
 
 

@@ -67,11 +67,14 @@ def jacobi_shifted_coefficients(m: int, alpha: int, beta: int = 0) -> Polynomial
             f"series denominator (alpha+1)_j vanishes for alpha={alpha}, m={m}"
         )
     prefactor = binomial_general(m + alpha, m)
+    # the term as a running integer numerator and denominator, one Fraction per coefficient
+    num, den = prefactor.numerator, prefactor.denominator
     coeffs = [prefactor]
     for j in range(m):
         # ratio from u^j to u^{j+1}; the guard above keeps (alpha+1+j) nonzero for j < m
-        ratio = Fraction((-m + j) * (m + alpha + beta + 1 + j), (alpha + 1 + j) * (j + 1))
-        coeffs.append(coeffs[-1] * ratio)
+        num *= (-m + j) * (m + alpha + beta + 1 + j)
+        den *= (alpha + 1 + j) * (j + 1)
+        coeffs.append(Fraction(num, den))
     return Polynomial(coeffs)
 
 

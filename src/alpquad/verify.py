@@ -14,10 +14,12 @@ Reports serialize to JSON lines:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
-from .exactpoly import Polynomial, inner_product
+from .exactpoly import Polynomial
 from .family import (
     CORRECTED,
     PUBLISHED,
@@ -99,12 +101,23 @@ def _orthogonality_reports(
 ) -> list[IdentityReport]:
     """Inner products of members keyed by consecutive k against 1/(k+l+1) on
     the diagonal and 0 off it, then the sign of each member's coefficient of
-    x^sign_power(k) against (-1)^(k-n)."""
+    x^sign_power(k) against (-1)^(k-n).
+
+    The inner products come from moments over one common denominator:
+    with L = lcm(1, ..., 2d+1) and H[s] = L/(s+1) = L * integral of x^s,
+    M_k[i] = sum_j c_kj H[i+j] and <p_k, p_l> = sum_i c_li M_k[i] / L, so
+    a family of degree d costs O(d^3) integer operations and no product
+    polynomial."""
+    d = max(p.degree for p in members.values())
+    den = math.lcm(*range(1, 2 * d + 2))
+    h = [den // (s + 1) for s in range(2 * d + 1)]
+    moments = {k: [sum(map(mul, p.coeffs, h[i:])) for i in range(d + 1)] for k, p in members.items()}
     reports = []
+    top = max(members)
     for k, p in members.items():
-        for l in range(k, max(members) + 1):
+        for l in range(k, top + 1):
             expected = Fraction(1, k + l + 1) if k == l else Fraction(0)
-            val = inner_product(p, members[l])
+            val = Fraction(sum(map(mul, members[l].coeffs, moments[k])), den)
             reports.append(_value_report(names[0], n, k, val, expected, f"l={l}; expected {expected}"))
         ok = (p.coeff(sign_power(k)) > 0) == ((k - n) % 2 == 0)
         reports.append(IdentityReport(names[1], n, k, ok, "0" if ok else "1", sign_note))

@@ -168,8 +168,15 @@ def test_verify_csv_header(capsys):
 
 
 def test_verify_rejects_large_max_n(capsys):
-    code, _, err = run_cli(capsys, "verify", "--max-n", "13")
-    assert code == 2 and "max-n" in err
+    code, _, err = run_cli(capsys, "verify", "--max-n", "31")
+    assert code == 2 and "max-n <= 30" in err
+    assert run_cli(capsys, "verify", "--max-n", "-1")[0] == 2
+
+
+def test_verify_accepts_max_n_above_the_old_cap(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--max-n", "13")
+    assert code == 0
+    assert out.endswith("verify: ok over 2548 checks\n")
 
 
 def test_usage_errors_exit_2(capsys):

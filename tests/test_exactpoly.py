@@ -83,6 +83,17 @@ def test_integrate01_basics():
     assert alp_coefficients(2, 0).integrate01() == Fraction(1, 3)
 
 
+def test_integrate01_common_denominator_matches_per_term_sum():
+    # degrees to 60 put every prime below 61 into lcm(1, ..., d+1)
+    polys = [alp_coefficients(n, k) * alp_coefficients(n, j) for n in (13, 30) for k in (0, 7) for j in (0, n)]
+    polys += [Polynomial([Fraction(1, l + 2) * (-1) ** l for l in range(40)]), Polynomial([Fraction(-3, 7)])]
+    for p in polys:
+        want = sum((Fraction(c, 1) / (l + 1) for l, c in enumerate(p.coeffs)), Fraction(0))
+        got = p.integrate01()
+        assert got == want and type(got) is Fraction
+    assert Polynomial().integrate01() == 0 and type(Polynomial().integrate01()) is Fraction
+
+
 def test_inner_product_examples():
     p22 = alp_coefficients(2, 2)
     assert inner_product(p22, p22) == Fraction(1, 5)

@@ -7,7 +7,7 @@ implementation paths it checks.
 """
 
 from fractions import Fraction
-from math import comb, isqrt
+from math import comb, factorial, isqrt, prod
 
 import numpy as np
 import pytest
@@ -31,6 +31,7 @@ from alpquad import (
     reciprocity_transform,
     recurrence_coefficients,
 )
+from alpquad.jacobi import binomial_general, jacobi_shifted_coefficients
 
 # ---------------------------------------------------------------------------
 # Gram-Schmidt oracle
@@ -166,6 +167,66 @@ def test_all_routes_agree_up_to_n12():
             assert alp_coefficients_jacobi(n, k) == p
 
 
+# The routes against their term-by-term Fraction formulas: m successive
+# derivatives, Pochhammer quotients, and the running Fraction term ratio
+
+
+def _pochhammer(a, m):
+    return Fraction(prod(range(a, a + m)))
+
+
+def reference_rodrigues(n, k):
+    m = n - k
+    p = Polynomial([0] * (n + k + 1) + [(-1) ** i * comb(m, i) for i in range(m + 1)])
+    for _ in range(m):
+        p = p.derivative()
+    return (p * Fraction(1, factorial(m))).shifted(-(k + 1))
+
+
+def reference_hypergeometric(n, k, variant):
+    m = n - k
+    prefactor, c = (comb(n + k + 1, m), 2 * k + 2) if variant == "corrected" else (comb(n + k, m), 2 * k + 1)
+    series = [
+        _pochhammer(-m, j) * _pochhammer(k + n + 2, j) / (_pochhammer(c, j) * factorial(j))
+        for j in range(m + 1)
+    ]
+    return (prefactor * Polynomial(series)).shifted(k)
+
+
+def reference_jacobi_shifted(m, alpha, beta):
+    coeffs = [binomial_general(m + alpha, m)]
+    for j in range(m):
+        coeffs.append(coeffs[-1] * Fraction((-m + j) * (m + alpha + beta + 1 + j), (alpha + 1 + j) * (j + 1)))
+    return Polynomial(coeffs)
+
+
+def test_routes_match_their_fraction_formulas_to_n30():
+    for n in range(31):
+        for k in range(n + 1):
+            m = n - k
+            assert alp_coefficients_rodrigues(n, k) == reference_rodrigues(n, k)
+            for variant in ("corrected", "published"):
+                assert alp_coefficients_hypergeometric(n, k, variant) == reference_hypergeometric(n, k, variant)
+            # the aux (2n), corrected (2k+1), published (2k, 1) and reciprocity (-2n-2) parameters
+            for alpha, beta in ((2 * n, 0), (2 * k + 1, 0), (2 * k, 1), (-2 * n - 2, 0)):
+                got = jacobi_shifted_coefficients(m, alpha, beta)
+                assert got == reference_jacobi_shifted(m, alpha, beta), (m, alpha, beta)
+
+
+def test_routes_do_not_read_the_explicit_sum():
+    # each route is an independent construction: none may go through alp_coefficients
+    alp_coefficients.cache_clear()
+    for n in range(10):
+        for k in range(n + 1):
+            alp_coefficients_rodrigues(n, k)
+            reciprocity_transform(n, k)
+            for variant in ("corrected", "published"):
+                alp_coefficients_hypergeometric(n, k, variant)
+                alp_coefficients_jacobi(n, k, variant)
+    info = alp_coefficients.cache_info()
+    assert (info.hits, info.misses) == (0, 0)
+
+
 # ---------------------------------------------------------------------------
 # Recurrence and differentiation coefficients
 
@@ -247,6 +308,39 @@ def test_narrow_float_nonfinite_rejected():
     for bad in (np.float32("nan"), np.float16("inf")):
         with pytest.raises(ValueError):
             alp_eval_recurrence(3, bad)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float16])
+def test_family_methods_evaluate_narrow_floats_in_double(dtype):
+    # family(n) is public: its eval and weight_denominator must widen points
+    # themselves, not rely on alp_eval (float32 P_{20,3}(0.3) gave 1.6228607)
+    pts = np.array([0.0, 0.05, 0.3, 0.6, 0.97, 1.0], dtype=dtype)
+    wide = pts.astype(np.float64)
+    for n, k in ((20, 3), (30, 3), (6, 0)):
+        fam = family(n)
+        got = fam.eval(k, pts)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, fam.eval(k, wide))
+        dens = fam.weight_denominator(k, pts)
+        assert dens.dtype == np.float64
+        assert np.array_equal(dens, fam.weight_denominator(k, wide))
+        for x in pts:
+            assert fam.eval(k, x) == fam.eval(k, float(x))
+            assert fam.weight_denominator(k, x) == fam.weight_denominator(k, float(x))
+    x = float(dtype(0.3))
+    assert family(20).eval(3, dtype(0.3)) == pytest.approx(alp_eval_exact(20, 3, x), rel=1e-14)
+    exact_den = sum((2 * l + 1) * alp_eval_exact(20, l, x) ** 2 for l in range(3, 21))
+    assert family(20).weight_denominator(3, dtype(0.3)) == pytest.approx(exact_den, rel=1e-13)
+
+
+def test_family_methods_reject_nonfinite():
+    fam = family(5)
+    for bad in (float("nan"), np.float32("nan"), np.float16("inf"), np.array([0.5, np.nan], dtype=np.float32),
+                np.array([0.5, -np.inf])):
+        with pytest.raises(ValueError):
+            fam.eval(2, bad)
+        with pytest.raises(ValueError):
+            fam.weight_denominator(1, bad)
 
 
 def test_eval_array_input():

@@ -1,5 +1,6 @@
 """The exact verification suite and the misprint reports."""
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -7,7 +8,9 @@ import pytest
 
 from alpquad import (
     IdentityReport,
+    Polynomial,
     alp_coefficients,
+    aux_coefficients,
     expected_to_pass,
     fit_lowering_coefficients,
     inner_product,
@@ -18,6 +21,7 @@ from alpquad import (
     verify_identity_suite,
     verify_orthogonality,
 )
+from alpquad.verify import _orthogonality_reports
 
 
 def by_identity(reports, name):
@@ -48,8 +52,6 @@ def test_orthogonality_norms_n5():
 def test_aux_orthogonality_values():
     p11 = Fraction(0)
     # direct checks behind the reports
-    from alpquad import aux_coefficients
-
     assert inner_product(aux_coefficients(1, 1), aux_coefficients(1, 2)) == p11
     assert inner_product(aux_coefficients(1, 2), aux_coefficients(1, 2)) == Fraction(1, 5)
     assert inner_product(aux_coefficients(0, 1), aux_coefficients(0, 1)) == Fraction(1, 3)
@@ -167,3 +169,70 @@ def test_lowering_fit_reproduces_corrected_mu():
 def test_lowering_fit_validation():
     with pytest.raises(ValueError):
         fit_lowering_coefficients(3, 0)
+
+
+# ---------------------------------------------------------------------------
+# The moment-based orthogonality reports against the definition
+
+
+def reference_orthogonality(n, members, names, sign_power, sign_note):
+    """The reports of _orthogonality_reports, built pair by pair from
+    inner_product and the expected rule 1/(k+l+1) on the diagonal, 0 off it."""
+    reports = []
+    for k in sorted(members):
+        for l in range(k, max(members) + 1):
+            expected = Fraction(1, k + l + 1) if k == l else Fraction(0)
+            diff = inner_product(members[k], members[l]) - expected
+            note = f"l={l}; expected {expected}"
+            reports.append(IdentityReport(names[0], n, k, diff == 0, str(abs(diff)), note))
+        ok = (members[k].coeff(sign_power(k)) > 0) == ((k - n) % 2 == 0)
+        reports.append(IdentityReport(names[1], n, k, ok, "0" if ok else "1", sign_note))
+    return reports
+
+
+def test_orthogonality_reports_equal_the_inner_product_reference():
+    kmax = 24
+    for n in range(kmax + 1):
+        fam = {k: alp_coefficients(n, k) for k in range(n + 1)}
+        want = reference_orthogonality(
+            n, fam, ("orthogonality", "sign_normalization"), lambda k: n,
+            "sign of x^n coefficient must be (-1)^(n-k)",
+        )
+        assert verify_orthogonality(n) == want
+        aux = {k: aux_coefficients(n, k) for k in range(n, kmax + 1)}
+        want = reference_orthogonality(
+            n, aux, ("aux_orthogonality", "aux_sign"), lambda k: k,
+            "sign of x^k coefficient must be (-1)^(k-n)",
+        )
+        assert verify_aux_orthogonality(n, kmax) == want
+
+
+@pytest.mark.parametrize("n, k, power", [(6, 2, 4), (9, 9, 0), (12, 0, 12), (3, 1, 0)])
+def test_orthogonality_reports_catch_a_perturbed_member(n, k, power):
+    fam = {j: alp_coefficients(n, j) for j in range(n + 1)}
+    bumped = list(fam[k].coeffs)
+    bumped[power] += 1
+    fam[k] = Polynomial(bumped)
+    names = ("orthogonality", "sign_normalization")
+    got = _orthogonality_reports(n, fam, names, lambda j: n, "sign note")
+    want = reference_orthogonality(n, fam, names, lambda j: n, "sign note")
+    assert got == want
+    failed = [r for r in got if r.identity == "orthogonality" and not r.passed]
+    assert failed and all(r.residual != "0" for r in failed)
+    # only pairs that contain the perturbed member can fail
+    assert all(r.k == k or r.note.startswith(f"l={k};") for r in failed)
+
+
+def test_order_20_json_stream_is_pinned():
+    # assembled as `alpquad verify --max-n 20 --format json` prints it; the pin
+    # was taken with inner products summed one Fraction per product term
+    nmax = 20
+    reports = verify_identity_suite(nmax)
+    for n in range(nmax + 1):
+        reports.extend(verify_orthogonality(n))
+        reports.extend(verify_aux_orthogonality(n, nmax))
+    reports.sort(key=lambda r: (r.n, r.k, r.identity, r.note))
+    assert len(reports) == 6713
+    out = reports_to_json_lines(reports) + "\n"
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "690d2704e5d07c02ed331fc24002273b7f80e4693892a376ddf2d677ab5a9f28"
