@@ -73,16 +73,10 @@ class Polynomial:
         return 0
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        a, b = self._coeffs, other._coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Polynomial(out)
+        return _combine((1, 0, self), (1, 0, other))
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
+        return _combine((1, 0, self), (-1, 0, other))
 
     def __neg__(self) -> "Polynomial":
         return Polynomial([-c for c in self._coeffs])
@@ -155,6 +149,16 @@ class Polynomial:
             term = str(c) if l == 0 else (f"{c}*x" if l == 1 else f"{c}*x^{l}")
             parts.append(term)
         return " + ".join(parts).replace("+ -", "- ")
+
+
+def _combine(*terms: tuple[Scalar, int, Polynomial]) -> Polynomial:
+    """Sum of c * x^s * p over the (c, s, p) terms, s >= 0: one accumulation pass
+    and one construction, where an operator chain builds a polynomial per step."""
+    out = [0] * max((s + len(p._coeffs) for _, s, p in terms), default=0)
+    for c, s, p in terms:
+        for i, a in enumerate(p._coeffs, s):
+            out[i] += c * a
+    return Polynomial(out)
 
 
 def inner_product(p: Polynomial, q: Polynomial) -> Fraction:

@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, perm
 
-from .exactpoly import Polynomial
+from .exactpoly import Polynomial, _combine
 from .horner import comp_horner
 from .jacobi import (
     _finite_points,
@@ -337,13 +337,7 @@ def ode_residual(n: int, k: int) -> Polynomial:
     zeta = alp_coefficients(n, k).shifted(1)
     z1 = zeta.derivative()
     z2 = z1.derivative()
-    return (
-        z2.shifted(2)
-        - z2.shifted(3)
-        - z1.shifted(2)
-        + (n + 1) ** 2 * zeta.shifted(1)
-        - k * (k + 1) * zeta
-    )
+    return _combine((1, 2, z2), (-1, 3, z2), (-1, 2, z1), ((n + 1) ** 2, 1, zeta), (-k * (k + 1), 0, zeta))
 
 
 def _check_aux_index(n: int, k: int) -> None:

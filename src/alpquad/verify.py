@@ -2,7 +2,10 @@
 
 Every check here runs in rational arithmetic and produces an
 ``IdentityReport``; a report passes iff the residual is exactly zero, so
-failures are decisive data rather than tolerance judgements. Checks based
+failures are decisive data rather than tolerance judgements. Each
+polynomial residual is one integer linear combination of shifted members
+(``exactpoly._combine``), and a coefficient route is compared with the
+member directly, its difference formed only when it fails. Checks based
 on the published constants (``*_published`` identities) are expected to
 fail wherever the misprint bites; ``expected_to_pass`` encodes that and
 ``suite_passes`` compares a report stream against it.
@@ -19,10 +22,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .exactpoly import Polynomial
+from .exactpoly import Polynomial, _combine
 from .family import (
     CORRECTED,
     PUBLISHED,
+    RecurrenceCoefficients,
     alp_coefficients,
     alp_coefficients_hypergeometric,
     alp_coefficients_jacobi,
@@ -105,9 +109,10 @@ def _orthogonality_reports(
 
     The inner products come from moments over one common denominator:
     with L = lcm(1, ..., 2d+1) and H[s] = L/(s+1) = L * integral of x^s,
-    M_k[i] = sum_j c_kj H[i+j] and <p_k, p_l> = sum_i c_li M_k[i] / L, so
+    M_k[i] = sum_j c_kj H[i+j] and S = <p_k, p_l> L = sum_i c_li M_k[i], so
     a family of degree d costs O(d^3) integer operations and no product
-    polynomial."""
+    polynomial. Each pair stays the integer S (k+l+1) - [k=l] L, which is
+    zero iff the pair passes; only a nonzero one becomes a Fraction."""
     d = max(p.degree for p in members.values())
     den = math.lcm(*range(1, 2 * d + 2))
     h = [den // (s + 1) for s in range(2 * d + 1)]
@@ -116,9 +121,11 @@ def _orthogonality_reports(
     top = max(members)
     for k, p in members.items():
         for l in range(k, top + 1):
-            expected = Fraction(1, k + l + 1) if k == l else Fraction(0)
-            val = Fraction(sum(map(mul, members[l].coeffs, moments[k])), den)
-            reports.append(_value_report(names[0], n, k, val, expected, f"l={l}; expected {expected}"))
+            diag = k == l
+            num = sum(map(mul, members[l].coeffs, moments[k])) * (k + l + 1) - (den if diag else 0)
+            residual = str(abs(Fraction(num, den * (k + l + 1)))) if num else "0"
+            expected = ("1" if k == 0 else f"1/{2 * k + 1}") if diag else "0"
+            reports.append(IdentityReport(names[0], n, k, not num, residual, f"l={l}; expected {expected}"))
         ok = (p.coeff(sign_power(k)) > 0) == ((k - n) % 2 == 0)
         reports.append(IdentityReport(names[1], n, k, ok, "0" if ok else "1", sign_note))
     return reports
@@ -126,6 +133,8 @@ def _orthogonality_reports(
 
 def verify_orthogonality(n: int) -> list[IdentityReport]:
     """Exact pairwise orthogonality, diagonal norms 1/(2k+1), and sign checks."""
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
     fam = {k: alp_coefficients(n, k) for k in range(n + 1)}
     note = "sign of x^n coefficient must be (-1)^(n-k)"
     return _orthogonality_reports(n, fam, ("orthogonality", "sign_normalization"), lambda k: n, note)
@@ -140,78 +149,71 @@ def verify_aux_orthogonality(n: int, kmax: int) -> list[IdentityReport]:
     return _orthogonality_reports(n, aux, ("aux_orthogonality", "aux_sign"), lambda k: k, note)
 
 
-def _recurrence_residual(n: int, k: int) -> Polynomial:
+def _recurrence_residual(r: RecurrenceCoefficients, p: Polynomial, below: Polynomial, above: Polynomial) -> Polynomial:
     # a x P_{n,k-1} - (b - c x) P_nk + d x P_{n,k+1}, exact
-    r = recurrence_coefficients(n, k)
-    p = alp_coefficients(n, k)
-    below = alp_coefficients(n, k - 1)
-    res = r.a * below.shifted(1) - r.b * p + r.c * p.shifted(1)
-    if k < n:
-        res = res + r.d * alp_coefficients(n, k + 1).shifted(1)
-    return res
+    return _combine((r.a, 1, below), (-r.b, 0, p), (r.c, 1, p), (r.d, 1, above))
 
 
-def _raising_residual(n: int, k: int) -> Polynomial:
+def _raising_residual(r: RecurrenceCoefficients, p: Polynomial, dp: Polynomial, above: Polynomial) -> Polynomial:
     # alpha x(1-x) P' - (beta - gamma x) P + delta x P_{n,k+1}, exact
-    r = recurrence_coefficients(n, k)
-    p = alp_coefficients(n, k)
-    dp = p.derivative()
-    res = r.alpha * (dp.shifted(1) - dp.shifted(2)) - r.beta * p + r.gamma * p.shifted(1)
-    if k < n:
-        res = res + r.delta * alp_coefficients(n, k + 1).shifted(1)
-    return res
+    return _combine((r.alpha, 1, dp), (-r.alpha, 2, dp), (-r.beta, 0, p), (r.gamma, 1, p), (r.delta, 1, above))
 
 
-def _lowering_residual(n: int, k: int, mu: int) -> Polynomial:
+def _lowering_residual(
+    r: RecurrenceCoefficients, p: Polynomial, dp: Polynomial, below: Polynomial, mu: int
+) -> Polynomial:
     # kappa x(x-1) P' - (lam - mu x) P + nu x P_{n,k-1}, exact
-    r = recurrence_coefficients(n, k)
-    p = alp_coefficients(n, k)
-    dp = p.derivative()
-    return (
-        r.kappa * (dp.shifted(2) - dp.shifted(1))
-        - r.lam * p
-        + mu * p.shifted(1)
-        + r.nu * alp_coefficients(n, k - 1).shifted(1)
-    )
+    return _combine((r.kappa, 2, dp), (-r.kappa, 1, dp), (-r.lam, 0, p), (mu, 1, p), (r.nu, 1, below))
+
+
+def _route_report(identity: str, n: int, k: int, route: Polynomial, p: Polynomial, note: str = "") -> IdentityReport:
+    # route == p is exactly "residual is zero"; the difference is formed only for a failure
+    if route == p:
+        return IdentityReport(identity, n, k, True, "0", note)
+    return _poly_report(identity, n, k, route - p, note)
 
 
 def _pair_reports(n: int, k: int) -> list[IdentityReport]:
     p = alp_coefficients(n, k)
     r = recurrence_coefficients(n, k)
+    dp = p.derivative()
+    # no P_{n,n+1}: at k = n its factors d and delta vanish and the zero polynomial stands in
+    above = alp_coefficients(n, k + 1) if k < n else Polynomial()
     reports = [
-        _poly_report("rodrigues", n, k, alp_coefficients_rodrigues(n, k) - p),
+        _route_report("rodrigues", n, k, alp_coefficients_rodrigues(n, k), p),
         _value_report("unit_integral", n, k, p.integrate01(), Fraction(1, n + 1)),
-        _poly_report("reciprocity", n, k, reciprocity_transform(n, k) - p),
+        _route_report("reciprocity", n, k, reciprocity_transform(n, k), p),
         _poly_report("ode", n, k, ode_residual(n, k)),
-        _poly_report("derivative_raising", n, k, _raising_residual(n, k)),
-        _poly_report(
-            "hypergeometric", n, k, alp_coefficients_hypergeometric(n, k, CORRECTED) - p,
+        _poly_report("derivative_raising", n, k, _raising_residual(r, p, dp, above)),
+        _route_report(
+            "hypergeometric", n, k, alp_coefficients_hypergeometric(n, k, CORRECTED), p,
             note="corrected parameters C(n+k+1,n-k), c=2k+2",
         ),
-        _poly_report(
-            "hypergeometric_published", n, k, alp_coefficients_hypergeometric(n, k, PUBLISHED) - p,
+        _route_report(
+            "hypergeometric_published", n, k, alp_coefficients_hypergeometric(n, k, PUBLISHED), p,
             note="published parameters C(n+k,n-k), c=2k+1; failure expected for k < n",
         ),
-        _poly_report(
-            "jacobi_form", n, k, alp_coefficients_jacobi(n, k, CORRECTED) - p,
+        _route_report(
+            "jacobi_form", n, k, alp_coefficients_jacobi(n, k, CORRECTED), p,
             note="corrected superscripts (2k+1, 0)",
         ),
-        _poly_report(
-            "jacobi_form_published", n, k, alp_coefficients_jacobi(n, k, PUBLISHED) - p,
+        _route_report(
+            "jacobi_form_published", n, k, alp_coefficients_jacobi(n, k, PUBLISHED), p,
             note="published superscripts (2k, 1); failure expected for k < n",
         ),
     ]
     if k >= 1:
-        reports.append(_poly_report("recurrence", n, k, _recurrence_residual(n, k)))
+        below = alp_coefficients(n, k - 1)
+        reports.append(_poly_report("recurrence", n, k, _recurrence_residual(r, p, below, above)))
         reports.append(
             _poly_report(
-                "derivative_lowering", n, k, _lowering_residual(n, k, r.mu),
+                "derivative_lowering", n, k, _lowering_residual(r, p, dp, below, r.mu),
                 note=f"corrected mu={r.mu}",
             )
         )
         reports.append(
             _poly_report(
-                "derivative_lowering_published", n, k, _lowering_residual(n, k, r.mu_published),
+                "derivative_lowering_published", n, k, _lowering_residual(r, p, dp, below, r.mu_published),
                 note=f"published mu={r.mu_published}, corrected mu={r.mu}; failure expected",
             )
         )
@@ -298,7 +300,7 @@ def fit_lowering_coefficients(n: int, k: int) -> tuple[Fraction, Fraction, Fract
     below = alp_coefficients(n, k - 1)
     kappa = 2 * k
     dp = p.derivative()
-    lhs = kappa * (dp.shifted(2) - dp.shifted(1))
+    lhs = _combine((kappa, 2, dp), (-kappa, 1, dp))
     rows, rhs = [], []
     for power in range(n + 2):
         row = [p.coeff(power), -p.coeff(power - 1), -below.coeff(power - 1)]

@@ -156,6 +156,16 @@ def test_verify_stream_is_pinned_at_max_n_12(capsys, fmt, want):
     assert hashlib.sha256(out.encode()).hexdigest() == want
 
 
+def test_verify_stream_is_pinned_at_the_cap(capsys):
+    # max-n 30 is the largest order `verify` accepts; the pin was taken with
+    # every identity residual built by Polynomial operator chains
+    code, out, _ = run_cli(capsys, "verify", "--max-n", "30", "--format", "json")
+    assert code == 0
+    assert len(out.splitlines()) == 17763
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "6e508b2f7cd495d24636eeaf4c545ed0b7a45f833486e4863533a2321da0e387"
+
+
 def test_verify_max_n_zero(capsys):
     code, _, _ = run_cli(capsys, "verify", "--max-n", "0")
     assert code == 0

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from alpquad import Polynomial, inner_product
+from alpquad.exactpoly import _combine
 from alpquad.family import alp_coefficients
 
 small_polys = st.lists(st.integers(min_value=-9, max_value=9), min_size=0, max_size=6).map(
@@ -180,3 +181,24 @@ def test_arithmetic_matches_fraction_reference(a, b, s, x):
     value = p(x)
     assert value == sum((Fraction(c) * x**l for l, c in enumerate(a)), Fraction(0))
     assert type(value) is Fraction
+
+
+combine_terms = st.lists(
+    st.tuples(st.integers(-9, 9), st.integers(0, 4), coeff_lists.map(Polynomial)), max_size=5
+)
+
+
+@given(combine_terms)
+def test_combine_matches_the_operator_chain(terms):
+    got = _combine(*terms)
+    chain = Polynomial()
+    want = []
+    for c, s, p in terms:
+        chain = chain + c * p.shifted(s)
+        want += [Fraction(0)] * (s + len(p.coeffs) - len(want))
+        for i, a in enumerate(p.coeffs, s):
+            want[i] += c * Fraction(a)
+    assert got == chain and hash(got) == hash(chain)
+    assert got.coeffs == _reference(want)
+    for a in got.coeffs:
+        assert type(a) is (int if a.denominator == 1 else Fraction)

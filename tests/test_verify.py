@@ -1,6 +1,7 @@
 """The exact verification suite and the misprint reports."""
 
 import hashlib
+import importlib
 import json
 from fractions import Fraction
 
@@ -21,6 +22,8 @@ from alpquad import (
     verify_identity_suite,
     verify_orthogonality,
 )
+from alpquad import verify
+from alpquad.family import CORRECTED, PUBLISHED, ode_residual, recurrence_coefficients
 from alpquad.verify import _orthogonality_reports
 
 
@@ -236,3 +239,121 @@ def test_order_20_json_stream_is_pinned():
     out = reports_to_json_lines(reports) + "\n"
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == "690d2704e5d07c02ed331fc24002273b7f80e4693892a376ddf2d677ab5a9f28"
+
+
+def test_orthogonality_rejects_negative_order():
+    with pytest.raises(ValueError, match="n must be nonnegative, got -1"):
+        verify_orthogonality(-1)
+
+
+# ---------------------------------------------------------------------------
+# The one-pass residuals against the operator chains they replace
+
+
+def chain_recurrence_residual(member, n, k):
+    r = recurrence_coefficients(n, k)
+    p = member(n, k)
+    below = member(n, k - 1)
+    res = r.a * below.shifted(1) - r.b * p + r.c * p.shifted(1)
+    if k < n:
+        res = res + r.d * member(n, k + 1).shifted(1)
+    return res
+
+
+def chain_raising_residual(member, n, k):
+    r = recurrence_coefficients(n, k)
+    p = member(n, k)
+    dp = p.derivative()
+    res = r.alpha * (dp.shifted(1) - dp.shifted(2)) - r.beta * p + r.gamma * p.shifted(1)
+    if k < n:
+        res = res + r.delta * member(n, k + 1).shifted(1)
+    return res
+
+
+def chain_lowering_residual(member, n, k, mu):
+    r = recurrence_coefficients(n, k)
+    p = member(n, k)
+    dp = p.derivative()
+    return (
+        r.kappa * (dp.shifted(2) - dp.shifted(1))
+        - r.lam * p
+        + mu * p.shifted(1)
+        + r.nu * member(n, k - 1).shifted(1)
+    )
+
+
+def chain_ode_residual(member, n, k):
+    zeta = member(n, k).shifted(1)
+    z1 = zeta.derivative()
+    z2 = z1.derivative()
+    return (
+        z2.shifted(2)
+        - z2.shifted(3)
+        - z1.shifted(2)
+        + (n + 1) ** 2 * zeta.shifted(1)
+        - k * (k + 1) * zeta
+    )
+
+
+def bumped_member(n, k):
+    """A member off by x^j/(k+2): every identity fails, with Fraction residuals."""
+    return alp_coefficients(n, k) + Polynomial.monomial((n + k) % (n + 1), Fraction(1, k + 2))
+
+
+@pytest.mark.parametrize("member", [alp_coefficients, bumped_member], ids=["members", "bumped"])
+def test_residuals_equal_the_operator_chains(monkeypatch, member):
+    # ode_residual looks its member up in the family module; the package
+    # attribute alpquad.family is the family() function, not that module
+    monkeypatch.setattr(importlib.import_module("alpquad.family"), "alp_coefficients", member)
+    for n in range(17):
+        for k in range(n + 1):
+            r, p = recurrence_coefficients(n, k), member(n, k)
+            above = member(n, k + 1) if k < n else Polynomial()
+            assert ode_residual(n, k) == chain_ode_residual(member, n, k), (n, k)
+            got = verify._raising_residual(r, p, p.derivative(), above)
+            assert got == chain_raising_residual(member, n, k), (n, k)
+            if k == 0:
+                continue
+            below = member(n, k - 1)
+            got = verify._recurrence_residual(r, p, below, above)
+            assert got == chain_recurrence_residual(member, n, k), (n, k)
+            for mu in (r.mu, r.mu_published):
+                got = verify._lowering_residual(r, p, p.derivative(), below, mu)
+                assert got == chain_lowering_residual(member, n, k, mu), (n, k, mu)
+
+
+def difference_residual(route_poly, p):
+    """max |route - p| over padded Fraction coefficients, as a report prints it."""
+    size = max(route_poly.degree, p.degree) + 1
+    return str(max((abs(Fraction(route_poly.coeff(i)) - p.coeff(i)) for i in range(size)), default=0))
+
+
+@pytest.mark.parametrize(
+    "route, identities, extra",
+    [
+        ("alp_coefficients_rodrigues", {"rodrigues": ()}, Polynomial([1])),
+        (
+            "alp_coefficients_jacobi",
+            {"jacobi_form": (CORRECTED,), "jacobi_form_published": (PUBLISHED,)},
+            Polynomial.monomial(3, Fraction(1, 2)),
+        ),
+    ],
+)
+def test_a_wrong_route_fails_with_the_difference_residual(monkeypatch, route, identities, extra):
+    # a route check compares route == p first; a route that differs must still
+    # fail and print max |route - p| as its residual
+    original = getattr(verify, route)
+    monkeypatch.setattr(verify, route, lambda *args: original(*args) + extra)
+    nmax = 6
+    got = verify_identity_suite(nmax)
+    monkeypatch.undo()
+    clean = verify_identity_suite(nmax)
+    assert [(r.n, r.k, r.identity) for r in got] == [(r.n, r.k, r.identity) for r in clean]
+    for rep, ref in zip(got, clean):
+        if rep.identity not in identities:
+            assert rep == ref
+            continue
+        wrong = original(rep.n, rep.k, *identities[rep.identity]) + extra
+        want = difference_residual(wrong, alp_coefficients(rep.n, rep.k))
+        assert not rep.passed and want != "0"
+        assert (rep.residual, rep.note) == (want, ref.note)
