@@ -24,6 +24,12 @@ def _exact(c) -> Scalar:
     return c.numerator if c.denominator == 1 else c
 
 
+def _quotient(num: int, den: int) -> Scalar:
+    # num/den as the same exact scalar: the int quotient when den divides num, else the Fraction
+    q, r = divmod(num, den)
+    return Fraction(num, den) if r else q
+
+
 class Polynomial:
     """Immutable dense polynomial, coefficient of x^l stored at index l."""
 

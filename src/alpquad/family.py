@@ -24,10 +24,11 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, perm
 
-from .exactpoly import Polynomial, _combine
+from .exactpoly import Polynomial, _combine, _quotient
 from .horner import comp_horner
 from .jacobi import (
     _finite_points,
+    _hypergeometric_terms,
     jacobi_derivative_eval,
     jacobi_eval,
     jacobi_shifted_coefficients,
@@ -97,7 +98,7 @@ def alp_coefficients_rodrigues(n: int, k: int) -> Polynomial:
     # the m-th derivative takes x^p to perm(p, m) x^{p-m}, all in one pass
     fm = math.factorial(m)
     deriv = [0] * (2 * k + 1) + [
-        Fraction((-1) ** i * comb(m, i) * perm(n + k + 1 + i, m), fm) for i in range(m + 1)
+        _quotient((-1) ** i * comb(m, i) * perm(n + k + 1 + i, m), fm) for i in range(m + 1)
     ]
     return Polynomial(deriv).shifted(-(k + 1))
 
@@ -116,14 +117,8 @@ def alp_coefficients_hypergeometric(n: int, k: int, variant: str = CORRECTED) ->
         prefactor, c = comb(n + k + 1, m), 2 * k + 2
     else:
         prefactor, c = comb(n + k, m), 2 * k + 1
-    # prefactor (-m)_j (k+n+2)_j over (c)_j j!, each Pochhammer product kept as an integer
-    series = []
-    num, den = prefactor, 1
-    for j in range(m + 1):
-        series.append(Fraction(num, den))
-        num *= (j - m) * (k + n + 2 + j)
-        den *= (c + j) * (j + 1)
-    return Polynomial([0] * k + series)
+    # prefactor (-m)_j (k+n+2)_j / ((c)_j j!), by the term-ratio kernel of the Jacobi series
+    return Polynomial([0] * k + _hypergeometric_terms(prefactor, 1, -m, k + n + 2, c, m))
 
 
 def alp_coefficients_jacobi(n: int, k: int, variant: str = CORRECTED) -> Polynomial:

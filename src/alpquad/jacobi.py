@@ -6,6 +6,12 @@ in u over rationals; numerical code evaluates P_m^{(alpha,beta)}(t) through
 the standard three-term recurrence, which stays accurate at degrees where
 monomial coefficients are hopeless in double precision.
 
+The exact expansion is a terminating 2F1 series, and so is the
+hypergeometric route of ``alpquad.family``: both expand through the one
+term-ratio kernel ``_hypergeometric_terms``, which carries each term as an
+integer numerator and denominator and emits an ``int`` wherever the term
+is integral.
+
 Integer alpha may be negative here: the formal series extension with
 generalized binomial prefactor is what the reciprocity construction needs.
 """
@@ -17,7 +23,7 @@ import sys
 from fractions import Fraction
 from math import factorial, prod
 
-from .exactpoly import Polynomial
+from .exactpoly import Polynomial, Scalar, _quotient
 
 __all__ = [
     "pochhammer",
@@ -30,6 +36,8 @@ __all__ = [
 
 def pochhammer(a: int, m: int) -> Fraction:
     """Rising factorial a (a+1) ... (a+m-1); empty product for m = 0."""
+    if m < 0:
+        raise ValueError(f"m must be nonnegative, got {m}")
     return Fraction(prod(range(a, a + m)))
 
 
@@ -67,15 +75,25 @@ def jacobi_shifted_coefficients(m: int, alpha: int, beta: int = 0) -> Polynomial
             f"series denominator (alpha+1)_j vanishes for alpha={alpha}, m={m}"
         )
     prefactor = binomial_general(m + alpha, m)
-    # the term as a running integer numerator and denominator, one Fraction per coefficient
     num, den = prefactor.numerator, prefactor.denominator
-    coeffs = [prefactor]
+    return Polynomial(_hypergeometric_terms(num, den, -m, m + alpha + beta + 1, alpha + 1, m))
+
+
+def _hypergeometric_terms(num: int, den: int, a: int, b, c: int, m: int) -> list[Scalar]:
+    """The terms (num/den) (a)_j (b)_j / ((c)_j j!), j = 0..m, of a terminating 2F1.
+
+    The term is carried as an integer numerator and denominator, each step
+    multiplying in the ratio (a+j)(b+j) / ((c+j)(j+1)) of consecutive terms;
+    a rational b puts its denominator into den. The caller keeps c+j nonzero
+    for j < m.
+    """
+    terms = [_quotient(num, den)]
     for j in range(m):
-        # ratio from u^j to u^{j+1}; the guard above keeps (alpha+1+j) nonzero for j < m
-        num *= (-m + j) * (m + alpha + beta + 1 + j)
-        den *= (alpha + 1 + j) * (j + 1)
-        coeffs.append(Fraction(num, den))
-    return Polynomial(coeffs)
+        up = (a + j) * (b + j)  # a Fraction only for a rational b
+        num *= up.numerator
+        den *= (c + j) * (j + 1) * up.denominator
+        terms.append(_quotient(num, den))
+    return terms
 
 
 def _finite_points(x):

@@ -8,7 +8,9 @@ polynomial residual is one integer linear combination of shifted members
 member directly, its difference formed only when it fails. Checks based
 on the published constants (``*_published`` identities) are expected to
 fail wherever the misprint bites; ``expected_to_pass`` encodes that and
-``suite_passes`` compares a report stream against it.
+``suite_passes`` compares a report stream against it. The lowering
+formula's constants are re-derived by ``fit_lowering_coefficients``, an
+exact linear fit solved by Cramer's rule.
 
 Reports serialize to JSON lines:
     {"identity": str, "n": int, "k": int, "pass": bool, "residual": str, "note": str}
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .exactpoly import Polynomial, _combine
+from .exactpoly import Polynomial, Scalar, _combine
 from .family import (
     CORRECTED,
     PUBLISHED,
@@ -257,28 +259,20 @@ def suite_passes(reports) -> bool:
     return all(r.passed == expected_to_pass(r.identity, r.n, r.k) for r in reports)
 
 
-def _solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Gaussian elimination over Fraction; raises on a singular system."""
-    m = len(rows)
-    aug = [[Fraction(c) for c in rows[i]] + [Fraction(rhs[i])] for i in range(m)]
-    cols = len(rows[0])
-    if m != cols:
-        raise ValueError("square system required")
-    for col in range(cols):
-        piv = next((r for r in range(col, m) if aug[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("singular system")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        for r in range(col + 1, m):
-            if aug[r][col] != 0:
-                f = aug[r][col] / aug[col][col]
-                for j in range(col, cols + 1):
-                    aug[r][j] -= f * aug[col][j]
-    sol = [Fraction(0)] * cols
-    for i in range(cols - 1, -1, -1):
-        acc = aug[i][cols] - sum(aug[i][j] * sol[j] for j in range(i + 1, cols))
-        sol[i] = acc / aug[i][i]
-    return sol
+def _det(rows) -> Scalar:
+    # Laplace expansion along the first row; exact over int and Fraction entries
+    if len(rows) == 1:
+        return rows[0][0]
+    return sum((-1) ** j * c * _det([r[:j] + r[j + 1:] for r in rows[1:]]) for j, c in enumerate(rows[0]))
+
+
+def _solve_exact(rows: list[list[Scalar]], rhs: list[Scalar]) -> list[Fraction]:
+    """Cramer's rule over Fraction; raises on a singular system."""
+    d = _det(rows)
+    if d == 0:
+        raise ValueError("singular system")
+    # column j of the matrix replaced by the right-hand side, over the determinant
+    return [Fraction(_det([r[:j] + [b] + r[j + 1:] for r, b in zip(rows, rhs)]), d) for j in range(len(rows))]
 
 
 def fit_lowering_coefficients(n: int, k: int) -> tuple[Fraction, Fraction, Fraction]:
