@@ -207,8 +207,9 @@ def test_routes_match_their_fraction_formulas_to_n30():
             assert alp_coefficients_rodrigues(n, k) == reference_rodrigues(n, k)
             for variant in ("corrected", "published"):
                 assert alp_coefficients_hypergeometric(n, k, variant) == reference_hypergeometric(n, k, variant)
-            # the aux (2n), corrected (2k+1), published (2k, 1) and reciprocity (-2n-2) parameters
-            for alpha, beta in ((2 * n, 0), (2 * k + 1, 0), (2 * k, 1), (-2 * n - 2, 0)):
+            # the aux (2n), corrected (2k+1), published (2k, 1) and reciprocity (-2n-2)
+            # parameters, and a half-integer beta whose terms are not all integral
+            for alpha, beta in ((2 * n, 0), (2 * k + 1, 0), (2 * k, 1), (-2 * n - 2, 0), (k, Fraction(1, 2))):
                 got = jacobi_shifted_coefficients(m, alpha, beta)
                 assert got == reference_jacobi_shifted(m, alpha, beta), (m, alpha, beta)
 
@@ -375,6 +376,9 @@ def test_family_cache_and_large_n_path():
     assert fam is family(12)
     assert isinstance(fam, AlpFamily)
     assert fam.polynomial(3) == alp_coefficients(12, 3)
+    floats = fam.float_coefficients(3)
+    assert floats == tuple(float(c) for c in alp_coefficients(12, 3).coeffs)
+    assert all(type(c) is float for c in floats)
     # n = 30 coefficients overflow exact double conversion; the stable
     # Jacobi-recurrence path must still track the exact values
     for x in (0.1, 0.37, 0.52, 0.9):

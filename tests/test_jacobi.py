@@ -22,6 +22,12 @@ def test_pochhammer():
     assert pochhammer(-5, 2) == 20
 
 
+def test_pochhammer_rejects_negative_length():
+    # an empty product is m = 0 only; m < 0 used to return 1
+    with pytest.raises(ValueError, match="m must be nonnegative, got -1"):
+        pochhammer(3, -1)
+
+
 def test_binomial_general_matches_comb_for_nonnegative():
     assert binomial_general(7, 3) == 35
     assert binomial_general(3, 7) == 0

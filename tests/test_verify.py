@@ -174,6 +174,33 @@ def test_lowering_fit_validation():
         fit_lowering_coefficients(3, 0)
 
 
+@pytest.mark.parametrize(
+    "rows, rhs",
+    [
+        ([[1, 2], [2, 4]], [3, 6]),
+        ([[1, 2, 3], [4, 5, 6], [7, 8, 9]], [1, 2, 3]),
+        ([[Fraction(1, 2), 1, 0], [0, 0, 0], [3, 1, 2]], [1, 0, 1]),
+    ],
+)
+def test_exact_solver_rejects_singular_systems(rows, rhs):
+    with pytest.raises(ValueError, match="singular system"):
+        verify._solve_exact(rows, rhs)
+
+
+def test_exact_solver_solves_exactly():
+    # an all-integer system whose solution is (1/2, -2/3, 5/7): integer
+    # determinants must divide as Fractions, never as floats
+    rows, rhs = [[2, 3, 7], [4, -6, 0], [2, 3, 14]], [4, 6, 9]
+    got = verify._solve_exact(rows, rhs)
+    assert got == [Fraction(1, 2), Fraction(-2, 3), Fraction(5, 7)]
+    assert all(type(x) is Fraction for x in got)
+    got = verify._solve_exact([[1, 1], [1, -1]], [3, 1])
+    assert got == [2, 1] and all(type(x) is Fraction for x in got)
+    for n in range(1, 13):
+        for k in range(1, n + 1):
+            assert all(type(v) is Fraction for v in fit_lowering_coefficients(n, k))
+
+
 # ---------------------------------------------------------------------------
 # The moment-based orthogonality reports against the definition
 
