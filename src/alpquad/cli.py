@@ -114,7 +114,8 @@ def _cmd_verify(args) -> int:
     for n in range(args.max_n + 1):
         reports.extend(verify_orthogonality(n))
         reports.extend(verify_aux_orthogonality(n, args.max_n))
-    reports.sort(key=lambda r: (r.n, r.k, r.identity, r.note))
+    # the sort is stable: each orthogonality and aux run keeps its pairs in l order
+    reports.sort(key=lambda r: (r.n, r.k, r.identity))
     if args.format == "json":
         print(reports_to_json_lines(reports))
     elif args.format == "csv":

@@ -1,9 +1,11 @@
 """CLI behaviour: formats, goldens, determinism, exit codes."""
 
+import csv
 import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -141,29 +143,74 @@ def test_verify_json_stream_is_pinned(capsys):
     assert digest == "a8d39bb4d595c132104013e14899e3afe8da90b8c2b5180b4e025ae53f2a9976"
 
 
+def verify_stream_by_note(fmt, out):
+    """A `verify` stream re-sorted by the key it used until its reports were
+    ordered by (n, k, identity) alone: (n, k, identity, note), under which the
+    pairs of one k ran l = 0, 10, 11, ..., 1, 2, .... Only the order of the report
+    lines changes; the csv header and the text summary stay where they are."""
+
+    def old_key(line):
+        if fmt == "json":
+            d = json.loads(line)
+            return d["n"], d["k"], d["identity"], d["note"]
+        if fmt == "csv":
+            identity, n, k, _, _, note = next(csv.reader([line]))
+            return int(n), int(k), identity, note
+        m = re.fullmatch(r"\S+(?: UNEXPECTED)? (\S+) n=(\d+) k=(\d+) residual=\S+(?: \((.*)\))?\n", line)
+        return int(m[2]), int(m[3]), m[1], m[4] or ""
+
+    lines = out.splitlines(keepends=True)
+    head = lines[:1] if fmt == "csv" else []
+    tail = lines[-1:] if fmt == "text" else []
+    body = lines[len(head) : len(lines) - len(tail)]
+    return "".join(head + sorted(body, key=old_key) + tail)
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 @pytest.mark.parametrize(
-    "fmt, want",
+    "fmt, want, by_note",
     [
-        ("text", "1e7c8a5f7779486a6a25d3471dc12e1aa88da759e51976de17915f31cda13b49"),
-        ("csv", "7c57b9a1053970709c6b7c218fb3312bc8c59e8c980ee810b0b39eb0f994fb70"),
-        ("json", "93afbe46003b1eca8e57f56a2db7cbc479974003cc6f1a07fb84665391cf0703"),
+        pytest.param(
+            "text",
+            "2e53ebf56052eb7a75c3a8603dbe5b7ef004d3dae89a30903042bdadbf06cc35",
+            "1e7c8a5f7779486a6a25d3471dc12e1aa88da759e51976de17915f31cda13b49",
+            id="text",
+        ),
+        pytest.param(
+            "csv",
+            "84e3fd1a8da0a954b3db748bb9de0b5c88c2d33197f327ef84e38da9ec665fdc",
+            "7c57b9a1053970709c6b7c218fb3312bc8c59e8c980ee810b0b39eb0f994fb70",
+            id="csv",
+        ),
+        pytest.param(
+            "json",
+            "c64fc85475c351791a4b8ca1189b1346776149fcd2d2d91271bda8616a883bd6",
+            "93afbe46003b1eca8e57f56a2db7cbc479974003cc6f1a07fb84665391cf0703",
+            id="json",
+        ),
     ],
 )
-def test_verify_stream_is_pinned_at_max_n_12(capsys, fmt, want):
-    # the residual strings are pinned as well: an integral residual prints as 5, never 5/1
+def test_verify_stream_is_pinned_at_max_n_12(capsys, fmt, want, by_note):
+    # the residual strings are pinned as well: an integral residual prints as 5, never 5/1;
+    # by_note is the pin of the stream sorted by note, which the re-sort must reproduce
     code, out, _ = run_cli(capsys, "verify", "--max-n", "12", "--format", fmt)
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == want
+    assert sha256(out) == want
+    assert sha256(verify_stream_by_note(fmt, out)) == by_note
 
 
 def test_verify_stream_is_pinned_at_the_cap(capsys):
-    # max-n 30 is the largest order `verify` accepts; the pin was taken with
-    # every identity residual built by Polynomial operator chains
+    # max-n 30 is the largest order `verify` accepts; the by-note pin was taken
+    # with every identity residual built by Polynomial operator chains
     code, out, _ = run_cli(capsys, "verify", "--max-n", "30", "--format", "json")
     assert code == 0
     assert len(out.splitlines()) == 17763
-    digest = hashlib.sha256(out.encode()).hexdigest()
-    assert digest == "6e508b2f7cd495d24636eeaf4c545ed0b7a45f833486e4863533a2321da0e387"
+    assert sha256(out) == "054c090c40771bc4f94fadd4722378b3ebb73d7133f644cf3647159d4c4de04e"
+    by_note = "6e508b2f7cd495d24636eeaf4c545ed0b7a45f833486e4863533a2321da0e387"
+    assert sha256(verify_stream_by_note("json", out)) == by_note
 
 
 def test_verify_max_n_zero(capsys):

@@ -254,18 +254,23 @@ def test_orthogonality_reports_catch_a_perturbed_member(n, k, power):
 
 
 def test_order_20_json_stream_is_pinned():
-    # assembled as `alpquad verify --max-n 20 --format json` prints it; the pin
-    # was taken with inner products summed one Fraction per product term
+    # assembled as `alpquad verify --max-n 20 --format json` prints it; the
+    # by-note pin, of the order `verify` had until it sorted by (n, k, identity)
+    # alone, was taken with inner products summed one Fraction per product term
     nmax = 20
     reports = verify_identity_suite(nmax)
     for n in range(nmax + 1):
         reports.extend(verify_orthogonality(n))
         reports.extend(verify_aux_orthogonality(n, nmax))
-    reports.sort(key=lambda r: (r.n, r.k, r.identity, r.note))
+    reports.sort(key=lambda r: (r.n, r.k, r.identity))
     assert len(reports) == 6713
-    out = reports_to_json_lines(reports) + "\n"
-    digest = hashlib.sha256(out.encode()).hexdigest()
-    assert digest == "690d2704e5d07c02ed331fc24002273b7f80e4693892a376ddf2d677ab5a9f28"
+
+    def digest(reports):
+        return hashlib.sha256((reports_to_json_lines(reports) + "\n").encode()).hexdigest()
+
+    assert digest(reports) == "ad95cf780f66435de9773207ad1456ede93ed2e072e2f9dc512cbacd99d05d7e"
+    by_note = sorted(reports, key=lambda r: (r.n, r.k, r.identity, r.note))
+    assert digest(by_note) == "690d2704e5d07c02ed331fc24002273b7f80e4693892a376ddf2d677ab5a9f28"
 
 
 def test_orthogonality_rejects_negative_order():
