@@ -118,7 +118,7 @@ def alp_coefficients_hypergeometric(n: int, k: int, variant: str = CORRECTED) ->
     else:
         prefactor, c = comb(n + k, m), 2 * k + 1
     # prefactor (-m)_j (k+n+2)_j / ((c)_j j!), by the term-ratio kernel of the Jacobi series
-    return Polynomial([0] * k + _hypergeometric_terms(prefactor, 1, -m, k + n + 2, c, m))
+    return Polynomial([0] * k + _hypergeometric_terms(prefactor, -m, k + n + 2, c, m))
 
 
 def alp_coefficients_jacobi(n: int, k: int, variant: str = CORRECTED) -> Polynomial:

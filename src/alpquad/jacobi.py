@@ -75,18 +75,18 @@ def jacobi_shifted_coefficients(m: int, alpha: int, beta: int = 0) -> Polynomial
             f"series denominator (alpha+1)_j vanishes for alpha={alpha}, m={m}"
         )
     prefactor = binomial_general(m + alpha, m)
-    num, den = prefactor.numerator, prefactor.denominator
-    return Polynomial(_hypergeometric_terms(num, den, -m, m + alpha + beta + 1, alpha + 1, m))
+    return Polynomial(_hypergeometric_terms(prefactor, -m, m + alpha + beta + 1, alpha + 1, m))
 
 
-def _hypergeometric_terms(num: int, den: int, a: int, b, c: int, m: int) -> list[Scalar]:
-    """The terms (num/den) (a)_j (b)_j / ((c)_j j!), j = 0..m, of a terminating 2F1.
+def _hypergeometric_terms(prefactor: Scalar, a: int, b, c: int, m: int) -> list[Scalar]:
+    """The terms prefactor (a)_j (b)_j / ((c)_j j!), j = 0..m, of a terminating 2F1.
 
     The term is carried as an integer numerator and denominator, each step
     multiplying in the ratio (a+j)(b+j) / ((c+j)(j+1)) of consecutive terms;
     a rational b puts its denominator into den. The caller keeps c+j nonzero
     for j < m.
     """
+    num, den = prefactor.numerator, prefactor.denominator
     terms = [_quotient(num, den)]
     for j in range(m):
         up = (a + j) * (b + j)  # a Fraction only for a rational b
