@@ -205,23 +205,29 @@ class AlpFamily:
     """All members of the order-n family, exact and float forms, built once.
 
     Immutable after construction, so instances are safe to share across
-    threads. Each member is evaluated by compensated Horner on its
+    threads. P_nk = x^k D_nk(x) with D_nk of degree n-k, and each member is
+    evaluated in that deflated form, so no step runs over the k zero
+    low-order coefficients. D_nk is evaluated by compensated Horner on its
     converted coefficients while those are exactly representable in double
-    (max |coeff| <= 2^53), and otherwise by the numerically stable
-    Jacobi-recurrence form x^k P^{(2k+1,0)}(1-2x), since rounded monomial
+    (max |coeff| <= 2^53), and otherwise by the numerically stable Jacobi
+    recurrence, D_nk(x) = P^{(2k+1,0)}_{n-k}(1-2x), since rounded monomial
     coefficients lose all significance there. The switch is per member:
     (23, 0) is the first to exceed 2^53, while Horner still serves 14 of
     the 31 members at n = 30 and 12 of the 41 at n = 40 (the high k).
+
+    x^k is formed from IEEE products alone (``_power``), which round the
+    same way for a Python float and a numpy element, so a scalar value
+    equals the matching element of an array evaluation bit for bit.
     """
 
-    __slots__ = ("n", "_fcoeffs", "_float_exact")
+    __slots__ = ("n", "_deflated", "_float_exact")
 
     def __init__(self, n: int):
         if n < 0:
             raise ValueError(f"family order must be nonnegative, got {n}")
         self.n = n
         polys = [alp_coefficients(n, k) for k in range(n + 1)]
-        self._fcoeffs = tuple(p.float_coeffs() for p in polys)
+        self._deflated = tuple(p.float_coeffs()[k:] for k, p in enumerate(polys))
         self._float_exact = tuple(all(abs(c) <= _MAX_EXACT_FLOAT for c in p.coeffs) for p in polys)
 
     def polynomial(self, k: int) -> Polynomial:
@@ -230,7 +236,7 @@ class AlpFamily:
 
     def float_coefficients(self, k: int) -> tuple[float, ...]:
         _check_index(self.n, k)
-        return self._fcoeffs[k]
+        return (0.0,) * k + self._deflated[k]
 
     def eval(self, k: int, x):
         """P_nk(x) for scalar or ndarray x; numpy input narrower than double
@@ -241,8 +247,10 @@ class AlpFamily:
     def _eval(self, k: int, x):
         # x already checked and widened by _finite_points
         if self._float_exact[k]:
-            return comp_horner(self._fcoeffs[k], x)
-        return x**k * jacobi_eval(self.n - k, 2 * k + 1, 0, 1.0 - 2.0 * x)
+            deflated = comp_horner(self._deflated[k], x)
+        else:
+            deflated = jacobi_eval(self.n - k, 2 * k + 1, 0, 1.0 - 2.0 * x)
+        return _power(x, k) * deflated
 
     def weight_denominator(self, kmin: int, x):
         """sum_{l=kmin}^{n} (2l+1) P_nl(x)^2, the reciprocal of a quadrature weight."""
@@ -255,6 +263,22 @@ class AlpFamily:
         return total
 
 
+def _power(x, k: int):
+    """x^k by binary powering: IEEE products only, never ``pow``.
+
+    Python's ``pow`` and numpy's vectorised ``power`` may round x**k
+    differently; a product rounds alike for a float and an array element.
+    """
+    result = 1.0
+    while k:
+        if k & 1:
+            result = result * x
+        k >>= 1
+        if k:
+            x = x * x
+    return result
+
+
 @lru_cache(maxsize=None)
 def family(n: int) -> AlpFamily:
     """Cached family constructor; cache reads are safe across threads."""
@@ -264,9 +288,10 @@ def family(n: int) -> AlpFamily:
 def alp_eval(n: int, k: int, x):
     """P_nk(x) in floating point (scalar or ndarray x).
 
-    Agrees with exact rational evaluation to better than 1e-12 relative
-    over [0, 1] for n <= 10 (see the acceptance suite); accuracy decays
-    gracefully for larger n.
+    For n <= 40, members with float-exact coefficients (compensated Horner)
+    are within 1.1e-15 of the exact value relative to max(1, |P|) on [0, 1],
+    and the others (Jacobi recurrence) within 3e-14; see ``AlpFamily``. A
+    scalar x gives exactly the value that x gives as an array element.
     """
     _check_index(n, k)
     return family(n).eval(k, x)
@@ -278,31 +303,59 @@ def alp_eval_exact(n: int, k: int, x) -> Fraction:
     return alp_coefficients(n, k)(Fraction(x))
 
 
+@lru_cache(maxsize=64)  # an order-600 table takes about 0.13 MB
+def _recurrence_steps(n: int) -> tuple[tuple[float, float, float, float, int], ...]:
+    """Factors of the normalised downward recurrence of order n, k = n..1.
+
+    With s_k = Q_k(0) = C(n+k+1, n-k) and R_k = Q_k / s_k, the identities
+    a s_{k-1} = b s_k and s_{k+1} / s_k = (n+k+2)(n-k) / ((2k+2)(2k+3)) turn
+    a Q_{k-1} = (b - c x) Q_k - d x^2 Q_{k+1} into
+
+        b B R_{k-1} = (b B - c B x) R_k - d (n+k+2)(n-k) x^2 R_{k+1},
+
+    with B = (2k+2)(2k+3): integer factors, exact in double for n <= 890.
+    Each step is (b B, c B, d (n+k+2)(n-k), s_mant, s_exp) with
+    s_{k-1} = s_mant 2^s_exp and s_mant rounded once, so s_{k-1} never
+    overflows a float.
+    """
+    steps = []
+    s = 1  # s_n
+    for k in range(n, 0, -1):
+        r = recurrence_coefficients(n, k)
+        scale = (2 * k + 2) * (2 * k + 3)
+        s = s * r.b // r.a  # exact: s_{k-1} = b s_k / a
+        e = s.bit_length()
+        steps.append((float(r.b * scale), float(r.c * scale), float(r.d * (n + k + 2) * (n - k)), s / (1 << e), e))
+    return tuple(steps)
+
+
 def alp_eval_recurrence(n: int, x: float) -> list[float]:
     """Values [P_nn(x), ..., P_n0(x)] by the downward three-term recurrence.
 
     Independent of the Horner path; useful as a consistency check. The
     recurrence a x P_{n,k-1} = (b - c x) P_nk - d x P_{n,k+1} is run on the
-    deflated values Q_k = P_nk / x^k = P^{(2k+1,0)}_{n-k}(1-2x):
+    deflated values Q_k = P_nk / x^k = P^{(2k+1,0)}_{n-k}(1-2x), each
+    normalised by its value at 0, R_k = Q_k / C(n+k+1, n-k):
 
-        Q_n = 1,   a Q_{k-1} = (b - c x) Q_k - d x^2 Q_{k+1}.
+        R_n = 1,   b B R_{k-1} = (b B - c B x) R_k - d (n+k+2)(n-k) x^2 R_{k+1},
 
-    Nothing divides by x, so x = 0 is an ordinary point, and on [0, 1] each
-    |Q_k| is bounded by Q_k(0) = C(n+k+1, n-k). Each value is scaled back
-    once as m^k Q_k 2^(k e), where x = m 2^e, so x^k is never formed by
-    itself and a value underflows only when P_nk(x) does.
+    with B = (2k+2)(2k+3) (see ``_recurrence_steps``). Nothing divides by
+    x, so x = 0 is an ordinary point, where every R_k is exactly 1 and
+    P_n0(0) = n+1 exactly; on [0, 1] each |R_k| <= 1. Each value is scaled
+    back once as m^k C(n+k+1, n-k) R_k 2^(k e), where x = m 2^e, so neither
+    x^k nor C(n+k+1, n-k) is formed by itself, and a value underflows only
+    when P_nk(x) does.
     """
     if n < 0:
         raise ValueError(f"family order must be nonnegative, got {n}")
     x = _finite_points(x)
     mant, exp = math.frexp(x)
-    q, above = 1.0, 0.0  # Q_k and Q_{k+1}
+    q, above = 1.0, 0.0  # R_k and R_{k+1}
     out = [math.ldexp(mant**n, n * exp)]
-    for k in range(n, 0, -1):
-        r = recurrence_coefficients(n, k)
-        # the k = n step multiplies above by d_nn = 0
-        q, above = ((r.b - r.c * x) * q - r.d * x * x * above) / r.a, q
-        out.append(math.ldexp(mant ** (k - 1) * q, (k - 1) * exp))
+    for k, (bb, cb, dd, s_mant, s_exp) in zip(range(n - 1, -1, -1), _recurrence_steps(n)):
+        # the first step multiplies above by d_nn = 0
+        q, above = ((bb - cb * x) * q - dd * x * x * above) / bb, q
+        out.append(math.ldexp(mant**k * s_mant * q, k * exp + s_exp))
     return out
 
 

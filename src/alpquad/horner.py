@@ -24,32 +24,31 @@ def horner(coeffs: Sequence[float], x):
     return acc
 
 
-def _two_sum(a, b):
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
-
-
-def _two_prod(a, b):
-    # Dekker product; coefficients here stay far below the ~1e292 split overflow
-    p = a * b
-    t = _SPLITTER * a
-    ah = t - (t - a)
-    al = a - ah
-    t = _SPLITTER * b
-    bh = t - (t - b)
-    bl = b - bh
-    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
-
-
 def comp_horner(coeffs: Sequence[float], x):
-    """Compensated Horner evaluation, accurate to ~1 ulp for mild conditioning."""
+    """Compensated Horner evaluation, accurate to ~1 ulp for mild conditioning.
+
+    Each step forms s * x + c with its rounding errors: Dekker's product
+    gives p + perr = s * x exactly, Knuth's sum s' + serr = p + c, and the
+    errors run through a second Horner recurrence (Graillat, Langlois and
+    Louvet, "Compensated Horner scheme", 2005). x is the same factor at
+    every step, so its Dekker split is taken once, before the loop; only the
+    running s is split per step. Coefficients here stay far below the
+    ~1e292 at which the split overflows.
+    """
     if len(coeffs) == 0:
         return 0.0 * x
+    t = _SPLITTER * x
+    xh = t - (t - x)
+    xl = x - xh
     s = coeffs[-1] + 0.0 * x  # broadcast against array inputs
     comp = 0.0 * s
     for c in reversed(coeffs[:-1]):
-        p, perr = _two_prod(s, x)
-        s, serr = _two_sum(p, c)
-        comp = comp * x + (perr + serr)
+        p = s * x
+        t = _SPLITTER * s
+        sh = t - (t - s)
+        sl = s - sh
+        perr = ((sh * xh - p) + sh * xl + sl * xh) + sl * xl
+        s = p + c
+        t = s - p
+        comp = comp * x + (perr + ((p - (s - t)) + (c - t)))
     return s + comp

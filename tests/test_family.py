@@ -358,6 +358,40 @@ def test_eval_array_input():
             assert d == fam.weight_denominator(kmin, float(x))
 
 
+def _grid_with_ends(seed: int, size: int) -> np.ndarray:
+    return np.concatenate(([0.0], np.random.default_rng(seed).random(size - 2), [1.0]))
+
+
+def test_scalar_equals_array_element_for_every_member():
+    # x^k comes from IEEE products alone, and both evaluation paths run the
+    # same operations on a float and on an array element, so they agree to
+    # the bit, Jacobi members included
+    xs = _grid_with_ends(1201, 512)
+    points = xs.tolist()
+    for n in range(41):
+        for k in range(n + 1):
+            for x, v in zip(points, alp_eval(n, k, xs).tolist()):
+                assert alp_eval(n, k, x).hex() == v.hex(), (n, k, x)
+
+
+def test_array_path_accuracy_on_float_exact_members():
+    # compensated Horner on the deflated coefficients, times x^k: within
+    # 1.1e-15 of the exact value, relative to max(1, |P|), near both ends too
+    near_ends = [5e-324, 1e-16, 4e-16, 1e-15, 1.0 - 1e-15, 1.0 - 4e-16, 1.0 - 1.1e-16]
+    xs = np.concatenate((_grid_with_ends(1202, 32), near_ends))
+    points = xs.tolist()
+    worst = 0.0
+    for n in range(41):
+        fam = family(n)
+        for k in range(n + 1):
+            if not fam._float_exact[k]:
+                continue
+            for x, v in zip(points, alp_eval(n, k, xs).tolist()):
+                exact = alp_eval_exact(n, k, x)
+                worst = max(worst, float(abs(Fraction(v) - exact) / max(1, abs(exact))))
+    assert worst <= 1.1e-15
+
+
 def test_eval_matches_exact_rational():
     for n in range(11):
         for k in range(n + 1):
@@ -401,6 +435,10 @@ def test_downward_recurrence_known_values():
 def test_downward_recurrence_at_zero_gives_limits():
     vals = alp_eval_recurrence(3, 0.0)  # k = 3, 2, 1, 0
     assert vals == [0.0, 0.0, 0.0, 4.0]
+    # every normalised R_k(0) is exactly 1, so P_n0(0) = n+1 exactly; the
+    # values Q_k(0) = C(n+k+1, n-k) themselves pass 2^53 from n = 33 on
+    for n in range(601):
+        assert alp_eval_recurrence(n, 0.0) == [0.0] * n + [float(n + 1)], n
 
 
 def test_downward_recurrence_matches_exact_without_underflow():

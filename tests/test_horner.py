@@ -59,3 +59,65 @@ def test_comp_horner_near_exact(int_coeffs, x):
     err = abs(Fraction(got) - exact)
     scale = max(Fraction(1), abs(exact))
     assert err <= Fraction(1, 10**13) * scale
+
+
+# The two-helper form comp_horner had before x was split once outside the
+# loop; the hoisted form must round every step the same way.
+_SPLITTER = 134217729.0
+
+
+def _two_sum(a, b):
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def _two_prod(a, b):
+    p = a * b
+    t = _SPLITTER * a
+    ah = t - (t - a)
+    al = a - ah
+    t = _SPLITTER * b
+    bh = t - (t - b)
+    bl = b - bh
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def reference_comp_horner(coeffs, x):
+    if len(coeffs) == 0:
+        return 0.0 * x
+    s = coeffs[-1] + 0.0 * x
+    comp = 0.0 * s
+    for c in reversed(coeffs[:-1]):
+        p, perr = _two_prod(s, x)
+        s, serr = _two_sum(p, c)
+        comp = comp * x + (perr + serr)
+    return s + comp
+
+
+_unit = st.floats(min_value=0.0, max_value=1.0)
+
+
+@given(
+    st.lists(st.integers(min_value=-(2**53), max_value=2**53), max_size=42),
+    _unit,
+    st.lists(_unit, min_size=1, max_size=16),
+)
+def test_comp_horner_bit_identical_to_two_helper_form(int_coeffs, x, points):
+    coeffs = [float(c) for c in int_coeffs]
+    assert comp_horner(coeffs, x).hex() == reference_comp_horner(coeffs, x).hex()
+    xs = np.array(points)
+    assert comp_horner(coeffs, xs).tobytes() == reference_comp_horner(coeffs, xs).tobytes()
+
+
+def test_comp_horner_bit_identical_on_family_members():
+    # the family's coefficients cancel heavily on [0, 1], so the compensation
+    # term decides the last bit here far more often than for random lists
+    xs = np.concatenate(([0.0], np.random.default_rng(1203).random(510), [1.0]))
+    for n in range(41):
+        for k in range(n + 1):
+            coeffs = [float(c) for c in alp_coefficients(n, k).coeffs]
+            if max(map(abs, coeffs)) > 2.0**53:
+                continue
+            for cs in (coeffs, coeffs[k:]):
+                assert comp_horner(cs, xs).tobytes() == reference_comp_horner(cs, xs).tobytes(), (n, k)
