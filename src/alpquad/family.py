@@ -25,7 +25,7 @@ from functools import lru_cache
 from math import comb, perm
 
 from .exactpoly import Polynomial, _combine, _quotient
-from .horner import comp_horner
+from .horner import comp_horner, comp_power
 from .jacobi import (
     _finite_points,
     _hypergeometric_terms,
@@ -215,9 +215,11 @@ class AlpFamily:
     (23, 0) is the first to exceed 2^53, while Horner still serves 14 of
     the 31 members at n = 30 and 12 of the 41 at n = 40 (the high k).
 
-    x^k is formed from IEEE products alone (``_power``), which round the
-    same way for a Python float and a numpy element, so a scalar value
-    equals the matching element of an array evaluation bit for bit.
+    x^k comes from ``comp_power``, binary powering in doubled precision
+    with IEEE products and sums alone, which round the same way for a
+    Python float and a numpy element, so a scalar value equals the matching
+    element of an array evaluation bit for bit. Plain binary powering would
+    add up to about k ulps there: 1.7e-15 at (40, 40) just below x = 1.
     """
 
     __slots__ = ("n", "_deflated", "_float_exact")
@@ -250,7 +252,7 @@ class AlpFamily:
             deflated = comp_horner(self._deflated[k], x)
         else:
             deflated = jacobi_eval(self.n - k, 2 * k + 1, 0, 1.0 - 2.0 * x)
-        return _power(x, k) * deflated
+        return comp_power(x, k) * deflated
 
     def weight_denominator(self, kmin: int, x):
         """sum_{l=kmin}^{n} (2l+1) P_nl(x)^2, the reciprocal of a quadrature weight."""
@@ -263,22 +265,6 @@ class AlpFamily:
         return total
 
 
-def _power(x, k: int):
-    """x^k by binary powering: IEEE products only, never ``pow``.
-
-    Python's ``pow`` and numpy's vectorised ``power`` may round x**k
-    differently; a product rounds alike for a float and an array element.
-    """
-    result = 1.0
-    while k:
-        if k & 1:
-            result = result * x
-        k >>= 1
-        if k:
-            x = x * x
-    return result
-
-
 @lru_cache(maxsize=None)
 def family(n: int) -> AlpFamily:
     """Cached family constructor; cache reads are safe across threads."""
@@ -289,9 +275,10 @@ def alp_eval(n: int, k: int, x):
     """P_nk(x) in floating point (scalar or ndarray x).
 
     For n <= 40, members with float-exact coefficients (compensated Horner)
-    are within 1.1e-15 of the exact value relative to max(1, |P|) on [0, 1],
-    and the others (Jacobi recurrence) within 3e-14; see ``AlpFamily``. A
-    scalar x gives exactly the value that x gives as an array element.
+    measured within 5.0e-16 of the exact value relative to max(1, |P|) on
+    [0, 1], densely near 1 too, and the others (Jacobi recurrence) within
+    3e-14; see ``AlpFamily``. A scalar x gives exactly the value that x
+    gives as an array element.
     """
     _check_index(n, k)
     return family(n).eval(k, x)
@@ -341,21 +328,28 @@ def alp_eval_recurrence(n: int, x: float) -> list[float]:
 
     with B = (2k+2)(2k+3) (see ``_recurrence_steps``). Nothing divides by
     x, so x = 0 is an ordinary point, where every R_k is exactly 1 and
-    P_n0(0) = n+1 exactly; on [0, 1] each |R_k| <= 1. Each value is scaled
-    back once as m^k C(n+k+1, n-k) R_k 2^(k e), where x = m 2^e, so neither
-    x^k nor C(n+k+1, n-k) is formed by itself, and a value underflows only
-    when P_nk(x) does.
+    P_n0(0) = n+1 exactly. On [0, 1] each |R_k| <= 1, but near x = 1 it
+    falls to about 1/C(n+k+1, n-k), below the double range from n = 740;
+    so R_k is carried as q 2^scale with q in [1/2, 1), renormalised by a
+    power of two (exact) at every step. Each value is scaled back once as
+    m^k C(n+k+1, n-k) q 2^(k e + scale), where x = m 2^e, so neither x^k
+    nor C(n+k+1, n-k) is formed by itself, and for n below about 1020
+    (past that m^k itself can underflow) a value underflows only when
+    P_nk(x) does.
     """
     if n < 0:
         raise ValueError(f"family order must be nonnegative, got {n}")
     x = _finite_points(x)
     mant, exp = math.frexp(x)
-    q, above = 1.0, 0.0  # R_k and R_{k+1}
+    q, above, scale = 1.0, 0.0, 0  # R_k = q 2^scale, R_{k+1} = above 2^scale
     out = [math.ldexp(mant**n, n * exp)]
     for k, (bb, cb, dd, s_mant, s_exp) in zip(range(n - 1, -1, -1), _recurrence_steps(n)):
         # the first step multiplies above by d_nn = 0
         q, above = ((bb - cb * x) * q - dd * x * x * above) / bb, q
-        out.append(math.ldexp(mant**k * s_mant * q, k * exp + s_exp))
+        q, e = math.frexp(q)
+        above = math.ldexp(above, -e)
+        scale += e
+        out.append(math.ldexp(mant**k * s_mant * q, k * exp + s_exp + scale))
     return out
 
 

@@ -31,7 +31,7 @@ from alpquad import (
     reciprocity_transform,
     recurrence_coefficients,
 )
-from alpquad.jacobi import binomial_general, jacobi_shifted_coefficients
+from alpquad.jacobi import binomial_general, jacobi_eval, jacobi_shifted_coefficients
 
 # ---------------------------------------------------------------------------
 # Gram-Schmidt oracle
@@ -363,10 +363,10 @@ def _grid_with_ends(seed: int, size: int) -> np.ndarray:
 
 
 def test_scalar_equals_array_element_for_every_member():
-    # x^k comes from IEEE products alone, and both evaluation paths run the
-    # same operations on a float and on an array element, so they agree to
-    # the bit, Jacobi members included
-    xs = _grid_with_ends(1201, 512)
+    # x^k comes from IEEE products and sums alone, and both evaluation
+    # paths run the same operations on a float and on an array element, so
+    # they agree to the bit, Jacobi members included
+    xs = _grid_with_ends(1201, 66)
     points = xs.tolist()
     for n in range(41):
         for k in range(n + 1):
@@ -374,20 +374,37 @@ def test_scalar_equals_array_element_for_every_member():
                 assert alp_eval(n, k, x).hex() == v.hex(), (n, k, x)
 
 
+def _exact_at(coeffs, x: float) -> Fraction:
+    # the exact polynomial value at a float x, Horner on integers scaled by
+    # powers of x's denominator, and one Fraction at the end
+    p, q = x.as_integer_ratio()
+    acc, scale = 0, 1
+    for c in reversed(coeffs):
+        acc = acc * p + c * scale
+        scale *= q
+    return Fraction(acc, scale // q)
+
+
 def test_array_path_accuracy_on_float_exact_members():
     # compensated Horner on the deflated coefficients, times x^k: within
-    # 1.1e-15 of the exact value, relative to max(1, |P|), near both ends too
+    # 1.1e-15 of the exact value, relative to max(1, |P|), near both ends
+    # too. Just below 1 an uncompensated x^k would add up to ~k/2 ulps, so
+    # the high k also get a dense set there. The oracle is alp_eval_exact's
+    # value, computed in integers (checked against it at one point each)
     near_ends = [5e-324, 1e-16, 4e-16, 1e-15, 1.0 - 1e-15, 1.0 - 4e-16, 1.0 - 1.1e-16]
-    xs = np.concatenate((_grid_with_ends(1202, 32), near_ends))
-    points = xs.tolist()
+    grid = np.concatenate((_grid_with_ends(1202, 32), near_ends))
+    dense = np.concatenate((grid, 0.99 + 0.01 * np.random.default_rng(1205).random(128)))
     worst = 0.0
     for n in range(41):
         fam = family(n)
         for k in range(n + 1):
             if not fam._float_exact[k]:
                 continue
-            for x, v in zip(points, alp_eval(n, k, xs).tolist()):
-                exact = alp_eval_exact(n, k, x)
+            xs = dense if k >= 30 else grid
+            coeffs = alp_coefficients(n, k).coeffs
+            assert _exact_at(coeffs, xs[1]) == alp_eval_exact(n, k, xs[1])
+            for x, v in zip(xs.tolist(), alp_eval(n, k, xs).tolist()):
+                exact = _exact_at(coeffs, x)
                 worst = max(worst, float(abs(Fraction(v) - exact) / max(1, abs(exact))))
     assert worst <= 1.1e-15
 
@@ -439,6 +456,23 @@ def test_downward_recurrence_at_zero_gives_limits():
     # values Q_k(0) = C(n+k+1, n-k) themselves pass 2^53 from n = 33 on
     for n in range(601):
         assert alp_eval_recurrence(n, 0.0) == [0.0] * n + [float(n + 1)], n
+
+
+def test_downward_recurrence_at_one_alternates():
+    # P_nk(1) = (-1)^(n-k); R_k(1) = +-1/C(n+k+1, n-k) reaches 2^-996 at
+    # n = 720 and leaves the double range from n = 740, so neither it nor
+    # the scale-back may pass through a subnormal
+    for n in [*range(721), 800, 1000]:
+        vals = alp_eval_recurrence(n, 1.0)
+        for idx, k in enumerate(range(n, -1, -1)):
+            assert abs(vals[idx] - (-1) ** (n - k)) <= 2e-12, (n, k)
+    # inside (0, 1) too, against the Jacobi form x^k P^{(2k+1,0)}_{n-k}(1-2x)
+    for n in (800, 1000):
+        for x in (0.5, 0.9, 0.99):
+            vals = alp_eval_recurrence(n, x)
+            for k in range(0, n + 1, 37):
+                want = x**k * jacobi_eval(n - k, 2 * k + 1, 0, 1.0 - 2.0 * x)
+                assert abs(vals[n - k] - want) <= 1e-12 * max(1.0, abs(want)), (n, k, x)
 
 
 def test_downward_recurrence_matches_exact_without_underflow():

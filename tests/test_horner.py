@@ -6,7 +6,7 @@ import numpy as np
 from hypothesis import given, strategies as st
 
 from alpquad.family import alp_coefficients
-from alpquad.horner import comp_horner, horner
+from alpquad.horner import comp_horner, comp_power, horner
 
 
 def exact_eval(coeffs, x):
@@ -121,3 +121,29 @@ def test_comp_horner_bit_identical_on_family_members():
                 continue
             for cs in (coeffs, coeffs[k:]):
                 assert comp_horner(cs, xs).tobytes() == reference_comp_horner(cs, xs).tobytes(), (n, k)
+
+
+def _within_one_rounding(got, x, k):
+    # hi + lo carries x^k to about k u^2, so only the final rounding is left
+    exact = Fraction(x) ** k
+    return abs(Fraction(got) - exact) <= exact * Fraction(1, 2**52)
+
+
+@given(st.floats(min_value=1 / 16, max_value=1.0), st.integers(min_value=0, max_value=64))
+def test_comp_power_within_one_rounding(x, k):
+    got = comp_power(x, k)
+    assert _within_one_rounding(got, x, k)
+    assert comp_power(np.array([x]), k)[0].hex() == got.hex()
+
+
+def test_comp_power_near_one():
+    # plain binary powering raises each squaring's rounding error to the
+    # remaining power and is off by up to ~k/2 ulps of x^k just below 1
+    xs = 0.99 + 0.01 * np.random.default_rng(1204).random(256)
+    for k in range(65):
+        vals = comp_power(xs, k)
+        assert vals.shape == xs.shape
+        for x, v in zip(xs.tolist(), vals.tolist()):
+            assert _within_one_rounding(v, x, k), (x, k)
+            assert comp_power(x, k).hex() == v.hex()
+    assert comp_power(0.0, 0) == 1.0 and comp_power(0.0, 3) == 0.0 and comp_power(1.0, 64) == 1.0
