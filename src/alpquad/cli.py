@@ -18,6 +18,7 @@ from .family import alp_coefficients, alp_eval
 from .horner import horner
 from .quadrature import RootFindingError, _fmt17, build_rule, integrate, rule_to_csv, rule_to_json
 from .verify import (
+    _report_order,
     expected_to_pass,
     reports_to_json_lines,
     suite_passes,
@@ -32,13 +33,15 @@ _DEFAULT_MAX_N = 30
 _VERIFY_MAX_N = 30
 
 
-def _max_n() -> int:
+def _require_index(args, kmin: int) -> None:
+    """The n, k guard of a command: kmin <= k <= n <= ALP_MAX_N, read once."""
     # ALP_MAX_N may raise the guard; accuracy beyond 30 is not supported
     raw = os.environ.get("ALP_MAX_N", _DEFAULT_MAX_N)
     try:
-        return int(raw)
+        max_n = int(raw)
     except ValueError:
         raise ValueError(f"ALP_MAX_N must be an integer, got {raw!r}") from None
+    _require(kmin <= args.k <= args.n <= max_n, f"require {kmin} <= k <= n <= {max_n}")
 
 
 def _require(cond: bool, message: str) -> None:
@@ -47,7 +50,7 @@ def _require(cond: bool, message: str) -> None:
 
 
 def _cmd_coeffs(args) -> int:
-    _require(0 <= args.k <= args.n <= _max_n(), f"require 0 <= k <= n <= {_max_n()}")
+    _require_index(args, 0)
     cs = [str(c) for c in alp_coefficients(args.n, args.k).coeffs]
     if args.format == "json":
         body = ",".join(f'"{c}"' for c in cs)
@@ -63,14 +66,14 @@ def _cmd_coeffs(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    _require(0 <= args.k <= args.n <= _max_n(), f"require 0 <= k <= n <= {_max_n()}")
+    _require_index(args, 0)
     _require(math.isfinite(args.x), "x must be finite")
     print(_fmt17(alp_eval(args.n, args.k, args.x)))
     return 0
 
 
 def _cmd_rule(args) -> int:
-    _require(1 <= args.k <= args.n <= _max_n(), f"require 1 <= k <= n <= {_max_n()}")
+    _require_index(args, 1)
     rule = build_rule(args.n, args.k)
     if args.format == "json":
         print(rule_to_json(rule))
@@ -101,7 +104,7 @@ def _parse_integrand(spec: str):
 
 
 def _cmd_integrate(args) -> int:
-    _require(1 <= args.k <= args.n <= _max_n(), f"require 1 <= k <= n <= {_max_n()}")
+    _require_index(args, 1)
     f = _parse_integrand(args.f)
     rule = build_rule(args.n, args.k)
     print(_fmt17(integrate(rule, f)))
@@ -115,7 +118,7 @@ def _cmd_verify(args) -> int:
         reports.extend(verify_orthogonality(n))
         reports.extend(verify_aux_orthogonality(n, args.max_n))
     # the sort is stable: each orthogonality and aux run keeps its pairs in l order
-    reports.sort(key=lambda r: (r.n, r.k, r.identity))
+    reports.sort(key=_report_order)
     if args.format == "json":
         print(reports_to_json_lines(reports))
     elif args.format == "csv":

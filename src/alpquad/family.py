@@ -27,6 +27,7 @@ from math import comb, perm
 from .exactpoly import Polynomial, _combine, _quotient
 from .horner import comp_horner, comp_power
 from .jacobi import (
+    _alp_kernel,
     _finite_points,
     _hypergeometric_terms,
     jacobi_derivative_eval,
@@ -244,10 +245,7 @@ class AlpFamily:
         """P_nk(x) for scalar or ndarray x; numpy input narrower than double
         is evaluated in double, and a non-finite x raises ValueError."""
         _check_index(self.n, k)
-        return self._eval(k, _finite_points(x))
-
-    def _eval(self, k: int, x):
-        # x already checked and widened by _finite_points
+        x = _finite_points(x)
         if self._float_exact[k]:
             deflated = comp_horner(self._deflated[k], x)
         else:
@@ -255,14 +253,20 @@ class AlpFamily:
         return comp_power(x, k) * deflated
 
     def weight_denominator(self, kmin: int, x):
-        """sum_{l=kmin}^{n} (2l+1) P_nl(x)^2, the reciprocal of a quadrature weight."""
+        """sum_{l=kmin}^{n} (2l+1) P_nl(x)^2, the reciprocal of a quadrature weight.
+
+        The sum is the reproducing kernel of the members kmin..n, computed
+        by the Jacobi-kernel recurrence that ``quadrature.weights`` inverts
+        (n-kmin steps; no member is evaluated), so 1 / weight_denominator
+        is the rule's weight bit for bit. Any finite x is accepted; a
+        non-finite one raises ValueError. This loads numpy, and a scalar x
+        gives an ``np.float64``.
+        """
+        import numpy as np
+
         _check_index(self.n, kmin)
-        x = _finite_points(x)
-        total = 0.0
-        for l in range(kmin, self.n + 1):
-            v = self._eval(l, x)
-            total = total + (2 * l + 1) * v * v
-        return total
+        v, e = _alp_kernel(self.n, kmin, _finite_points(x))
+        return np.ldexp(v, e)
 
 
 @lru_cache(maxsize=None)
@@ -358,7 +362,8 @@ def alp_derivative_eval(n: int, k: int, x: float) -> float:
 
     P'_nk = x^(k-1) (k J(t) - 2x J'(t)) with t = 1-2x, both factors by the
     Jacobi recurrence; nothing divides by x or 1-x, so both endpoints are
-    ordinary points.
+    ordinary points. x^(k-1) comes from ``comp_power``, as in ``AlpFamily``,
+    so a scalar x gives exactly the value that x gives as an array element.
     """
     _check_index(n, k)
     x = _finite_points(x)
@@ -366,7 +371,7 @@ def alp_derivative_eval(n: int, k: int, x: float) -> float:
     dj = jacobi_derivative_eval(n - k, 2 * k + 1, 0, t)
     if k == 0:
         return -2.0 * dj
-    return x ** (k - 1) * (k * jacobi_eval(n - k, 2 * k + 1, 0, t) - 2.0 * x * dj)
+    return comp_power(x, k - 1) * (k * jacobi_eval(n - k, 2 * k + 1, 0, t) - 2.0 * x * dj)
 
 
 def ode_residual(n: int, k: int) -> Polynomial:
@@ -396,8 +401,10 @@ def aux_coefficients(n: int, k: int) -> Polynomial:
 def aux_eval(n: int, k: int, x):
     """Auxiliary P_nk(x) with the Jacobi factor evaluated by recurrence.
 
-    For n = 0 these are the Legendre polynomials shifted to [0, 1].
+    x^n comes from ``comp_power``, as in ``AlpFamily``, so a scalar x gives
+    exactly the value that x gives as an array element. For n = 0 these
+    are the Legendre polynomials shifted to [0, 1].
     """
     _check_aux_index(n, k)
     x = _finite_points(x)
-    return x**n * jacobi_eval(k - n, 2 * n, 0, 1.0 - 2.0 * x)
+    return comp_power(x, n) * jacobi_eval(k - n, 2 * n, 0, 1.0 - 2.0 * x)

@@ -14,6 +14,11 @@ is integral.
 
 Integer alpha may be negative here: the formal series extension with
 generalized binomial prefactor is what the reciprocity construction needs.
+
+The float side also owns the Jacobi matrix of P^{(a,0)}, which gives the
+quadrature nodes, and the one routine that sums the reproducing kernel
+sum_{l=k}^{n} (2l+1) P_nl(x)^2 of the family: the denominator of every
+quadrature weight and of ``AlpFamily.weight_denominator``.
 """
 
 from __future__ import annotations
@@ -147,3 +152,59 @@ def jacobi_derivative_eval(m: int, alpha: float, beta: float, t):
     if m == 0:
         return 0.0 * t
     return 0.5 * (m + alpha + beta + 1) * jacobi_eval(m - 1, alpha + 1, beta + 1, t)
+
+
+def _jacobi_matrix(m: int, a: int):
+    """Diagonal and off-diagonal (numpy arrays) of the m x m Jacobi matrix of P^{(a,0)}.
+
+    The polynomials p_j orthonormal for (1-t)^a on [-1, 1] satisfy
+    t p_j = off[j-1] p_{j-1} + diag[j] p_j + off[j] p_{j+1}. For a = 0
+    (Legendre) the diagonal is 0, which the closed form leaves as 0/0 at
+    j = 0.
+    """
+    import numpy as np
+
+    j = np.arange(m, dtype=float)
+    s = 2.0 * j + a
+    diag = np.divide(-a * a, s * (s + 2.0), out=np.zeros(m), where=s > 0)
+    j, s = j[1:], s[1:]
+    return diag, np.sqrt(4.0 * j**2 * (j + a) ** 2 / (s**2 * (s + 1.0) * (s - 1.0)))
+
+
+def _alp_kernel(n: int, k: int, x):
+    """sum_{l=k}^{n} (2l+1) P_nl(x)^2 as (v, e), the value being v 2^e.
+
+    The sum is the reproducing kernel of span{P_nl : k <= l <= n}, which
+    is x^k times the polynomials of degree <= n-k, so it equals
+    (2k+1) x^{2k} sum_{i=0}^{n-k} q_i(t)^2 with t = 1-2x and q_i the
+    orthonormal Jacobi polynomials for (1-t)^{2k}, scaled to q_0 = 1
+    (Gautschi, Orthogonal Polynomials, 2004, sections 1.3 and 3.1). The q_i
+    come from their three-term recurrence over all points at once, in n-k
+    steps without evaluating any member of the family, rescaled by powers
+    of two so the sum cannot overflow, and x^{2k} is applied as
+    mant^{2k} * 2^{2k e} with mant, e = frexp(x), so it cannot underflow
+    by itself. mant^{2k} stays a normal double only for k <= 511; past
+    that, values at points just above a power of two lose accuracy. x is
+    a finite float or a double array, as ``_finite_points`` returns it; v
+    and e are numpy values of its shape.
+    """
+    import numpy as np
+
+    diag, off = _jacobi_matrix(n - k + 1, 2 * k)
+    t = 1.0 - 2.0 * x
+    prev, q = 0.0 * t, 1.0 + 0.0 * t
+    total, scale = q, 0
+    steps = zip(diag.tolist(), [0.0] + off.tolist(), off.tolist())
+    for j, (d, b_prev, b) in enumerate(steps, start=1):
+        prev, q = q, ((t - d) * q - b_prev * prev) / b
+        total = total + q * q
+        if j % 16 == 0:
+            # |q| grows by less than 3/b per step on [0, 1], so 16 steps
+            # from a sum below 2 stay far inside the double range; near
+            # x = 0 the sum itself would overflow from n = 372 without this
+            # rescaling
+            h = np.frexp(total)[1] // 2
+            prev, q = np.ldexp(prev, -h), np.ldexp(q, -h)
+            total, scale = np.ldexp(total, -2 * h), scale + 2 * h
+    mant, e = np.frexp(x)
+    return (2 * k + 1) * mant ** (2 * k) * total, 2 * k * e + scale

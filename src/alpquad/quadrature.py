@@ -15,9 +15,10 @@ on the Jacobi three-term recurrence.
 The weight denominator is the reproducing kernel of span{P_nl : k <= l <= n}
 = x^k times the polynomials of degree <= n-k, so it is also x^{2k} times the
 kernel of the orthonormal Jacobi polynomials for (1-t)^{2k}, t = 1-2x
-(Gautschi, Orthogonal Polynomials, 2004, sections 1.3 and 3.1). Weights are
-computed that way, from the Jacobi matrix of P^{(2k,0)}, in n-k recurrence
-steps over all nodes at once, without evaluating any member of the family.
+(Gautschi, Orthogonal Polynomials, 2004, sections 1.3 and 3.1). The Jacobi
+matrices and that kernel live in ``alpquad.jacobi``; this module only
+validates, inverts and assembles, and ``AlpFamily.weight_denominator``
+calls the same kernel, so a weight is exactly 1 / weight_denominator.
 """
 
 from __future__ import annotations
@@ -25,14 +26,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Callable, Sequence
 
 from .exactpoly import Polynomial, inner_product
 from .family import alp_coefficients
-from .jacobi import jacobi_derivative_eval, jacobi_eval
-
-if TYPE_CHECKING:
-    import numpy as np
+from .jacobi import _alp_kernel, _jacobi_matrix, jacobi_derivative_eval, jacobi_eval
 
 __all__ = [
     "RootFindingError",
@@ -71,22 +69,6 @@ def _check_rule_index(n: int, k: int) -> None:
         raise ValueError(f"quadrature requires 1 <= k <= n, got n={n}, k={k}")
 
 
-def _jacobi_matrix(m: int, a: int) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal and off-diagonal of the m x m Jacobi matrix of P^{(a,0)}.
-
-    The polynomials p_j orthonormal for (1-t)^a on [-1, 1] satisfy
-    t p_j = off[j-1] p_{j-1} + diag[j] p_j + off[j] p_{j+1}.
-    """
-    import numpy as np
-
-    j = np.arange(m, dtype=float)
-    s = 2.0 * j + a
-    diag = -a * a / (s * (s + 2.0))
-    j, s = j[1:], s[1:]
-    off = np.sqrt(4.0 * j**2 * (j + a) ** 2 / (s**2 * (s + 1.0) * (s - 1.0)))
-    return diag, off
-
-
 def nodes(n: int, k: int) -> tuple[float, ...]:
     """Nodes of the (n, k) rule: the n-k+1 roots of deflated P_{n,k-1}.
 
@@ -123,19 +105,14 @@ def nodes(n: int, k: int) -> tuple[float, ...]:
 def weights(n: int, k: int, rule_nodes: Sequence[float]) -> tuple[float, ...]:
     """Weights w_j = 1 / sum_{l=k}^{n} (2l+1) P_nl(x_j)^2, all positive.
 
-    The sum is the reproducing kernel of span{P_nl : k <= l <= n}, which
-    is x^k times the polynomials of degree <= n-k, so it equals
-    (2k+1) x^{2k} sum_{i=0}^{n-k} q_i(t)^2 with t = 1-2x and q_i the
-    orthonormal Jacobi polynomials for (1-t)^{2k}, scaled to q_0 = 1. The
-    q_i come from their three-term recurrence over all points at once,
-    rescaled by powers of two so the sum cannot overflow, and x^{2k} is
-    applied as mant^{2k} * 2^{2k e} with mant, e = frexp(x), so it cannot
-    underflow by itself. mant^{2k} stays a normal double only for
-    k <= 511; past that, weights at points just above a power of two lose
-    accuracy. Any point of (0, 1) may be given, not only the nodes; a
-    point outside it (NaN and +-inf included) raises ValueError naming
-    the first such point, and a weight beyond the double range comes
-    back as inf.
+    The sum comes from the reproducing-kernel recurrence of
+    ``alpquad.jacobi`` (n-k vectorised steps, rescaled by powers of two)
+    and is inverted before its power-of-two scale is applied, so neither
+    step overflows or underflows by itself. Past k = 511, weights at points
+    just above a power of two lose accuracy. Any point of (0, 1) may be
+    given, not only the nodes; a point outside it (NaN and +-inf included)
+    raises ValueError naming the first such point, and a weight beyond the
+    double range comes back as inf.
     """
     import numpy as np
 
@@ -145,24 +122,8 @@ def weights(n: int, k: int, rule_nodes: Sequence[float]) -> tuple[float, ...]:
     if not np.all(inside):
         bad = rule_nodes[int(np.argmin(inside))]
         raise ValueError(f"node {bad} outside the open interval (0,1)")
-    diag, off = _jacobi_matrix(n - k + 1, 2 * k)
-    t = 1.0 - 2.0 * x
-    prev, q = 0.0 * t, 1.0 + 0.0 * t
-    total, scale = q, 0
-    steps = zip(diag.tolist(), [0.0] + off.tolist(), off.tolist())
-    for j, (d, b_prev, b) in enumerate(steps, start=1):
-        prev, q = q, ((t - d) * q - b_prev * prev) / b
-        total = total + q * q
-        if j % 16 == 0:
-            # |q| grows by less than 3/b per step, so 16 steps from a sum
-            # below 2 stay far inside the double range; near x = 0 the sum
-            # itself would overflow from n = 372 without this rescaling
-            h = np.frexp(total)[1] // 2
-            prev, q = np.ldexp(prev, -h), np.ldexp(q, -h)
-            total, scale = np.ldexp(total, -2 * h), scale + 2 * h
-    mant, e = np.frexp(x)
-    w = np.ldexp(1.0 / ((2 * k + 1) * mant ** (2 * k) * total), -2 * k * e - scale)
-    return tuple(w.tolist())
+    v, e = _alp_kernel(n, k, x)
+    return tuple(np.ldexp(1.0 / v, -e).tolist())
 
 
 def build_rule(n: int, k: int) -> QuadratureRule:

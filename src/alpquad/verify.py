@@ -22,7 +22,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from operator import attrgetter, mul
 
 from .exactpoly import Polynomial, Scalar, _combine
 from .family import (
@@ -74,6 +74,10 @@ class IdentityReport:
                 "note": self.note,
             }
         )
+
+
+# the canonical report order, shared by the identity suite and ``alpquad verify``
+_report_order = attrgetter("n", "k", "identity")
 
 
 def report_from_json(line: str) -> IdentityReport:
@@ -236,7 +240,7 @@ def verify_identity_suite(nmax: int) -> list[IdentityReport]:
     for n in range(nmax + 1):
         for k in range(n + 1):
             reports.extend(_pair_reports(n, k))
-    reports.sort(key=lambda rep: (rep.n, rep.k, rep.identity))
+    reports.sort(key=_report_order)
     return reports
 
 

@@ -25,6 +25,7 @@ from alpquad import (
     alp_eval_recurrence,
     aux_coefficients,
     aux_eval,
+    build_rule,
     family,
     inner_product,
     ode_residual,
@@ -372,6 +373,61 @@ def test_scalar_equals_array_element_for_every_member():
         for k in range(n + 1):
             for x, v in zip(points, alp_eval(n, k, xs).tolist()):
                 assert alp_eval(n, k, x).hex() == v.hex(), (n, k, x)
+
+
+def test_aux_and_derivative_scalar_equal_array_element():
+    # x^n and x^(k-1) come from comp_power, as in alp_eval, so a float and
+    # the same point inside an array give the same bits
+    xs = _grid_with_ends(1207, 66)
+    points = xs.tolist()
+    for n in range(41):
+        for k in range(n, 41):
+            for x, v in zip(points, aux_eval(n, k, xs).tolist()):
+                assert aux_eval(n, k, x).hex() == v.hex(), ("aux", n, k, x)
+        for k in range(n + 1):
+            for x, v in zip(points, alp_derivative_eval(n, k, xs).tolist()):
+                assert alp_derivative_eval(n, k, x).hex() == v.hex(), ("derivative", n, k, x)
+
+
+def _exact_weight_denominators(n: int, x: float) -> list[Fraction]:
+    # sum_{l=kmin}^{n} (2l+1) P_nl(x)^2 for kmin = 0..n at the exact value
+    # of x = p/q, from the integers q^n P_nl(p/q)
+    p, q = x.as_integer_ratio()
+    total, sums = 0, []
+    for l in range(n, -1, -1):
+        scaled, scale = 0, 1
+        for c in reversed(alp_coefficients(n, l).coeffs):
+            scaled, scale = scaled * p + c * scale, scale * q
+        total += (2 * l + 1) * scaled * scaled
+        sums.append(Fraction(total, q ** (2 * n)))
+    return sums[::-1]
+
+
+def test_weight_denominator_matches_exact_sum():
+    # the Jacobi kernel for every kmin, Legendre (kmin = 0) included, on
+    # seeded points, both ends and a point outside [0, 1]; measured worst
+    # 2.3e-14 relative, at the ends
+    xs = np.concatenate((_grid_with_ends(1208, 18), [1.25]))
+    for n in range(41):
+        exact = [_exact_weight_denominators(n, x) for x in xs.tolist()]
+        fam = family(n)
+        for kmin in range(n + 1):
+            for x, want, got in zip(xs.tolist(), exact, fam.weight_denominator(kmin, xs).tolist()):
+                if x == 0.0 and kmin >= 1:
+                    assert want[kmin] == 0 and got == 0.0, (n, kmin)
+                else:
+                    assert abs(Fraction(got) - want[kmin]) <= 1e-13 * want[kmin], (n, kmin, x)
+
+
+def test_weight_denominator_inverts_to_rule_weights():
+    # weights() and weight_denominator run the one kernel, so a weight is
+    # the reciprocal of the denominator bit for bit
+    for n in range(1, 31):
+        fam = family(n)
+        for k in range(1, n + 1):
+            rule = build_rule(n, k)
+            dens = fam.weight_denominator(k, np.array(rule.nodes))
+            assert (1.0 / dens).tolist() == list(rule.weights), (n, k)
 
 
 def _exact_at(coeffs, x: float) -> Fraction:

@@ -7,6 +7,7 @@ import pytest
 
 from alpquad import Polynomial
 from alpquad.jacobi import (
+    _jacobi_matrix,
     binomial_general,
     jacobi_derivative_eval,
     jacobi_eval,
@@ -135,3 +136,16 @@ def test_degree_validation():
         jacobi_shifted_coefficients(-1, 2)
     with pytest.raises(ValueError):
         jacobi_eval(-1, 0, 0, 0.5)
+
+
+def test_jacobi_matrix_legendre_case_is_finite():
+    # a = 0 is the Legendre matrix the kernel needs for kmin = 0: the
+    # closed-form diagonal -a^2 / (s (s+2)) is 0/0 at j = 0 there
+    diag, off = _jacobi_matrix(12, 0)
+    assert np.all(diag == 0.0)
+    for j in range(1, 12):
+        assert off[j - 1] == pytest.approx(j / np.sqrt(4.0 * j * j - 1.0), rel=1e-15)
+    # for a >= 1 the diagonal keeps the closed form's bits
+    for a in (1, 2, 7, 80):
+        s = 2.0 * np.arange(12, dtype=float) + a
+        assert np.array_equal(_jacobi_matrix(12, a)[0], -a * a / (s * (s + 2.0)))
