@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import math
 import os
 import sys
@@ -17,15 +16,7 @@ import sys
 from .family import alp_coefficients, alp_eval
 from .horner import horner
 from .quadrature import RootFindingError, _fmt17, build_rule, integrate, rule_to_csv, rule_to_json
-from .verify import (
-    _report_order,
-    expected_to_pass,
-    reports_to_json_lines,
-    suite_passes,
-    verify_aux_orthogonality,
-    verify_identity_suite,
-    verify_orthogonality,
-)
+from .verify import _report_stream, expected_to_pass, reports_to_json_lines, suite_passes
 
 _NAMED_INTEGRANDS = {"exp": math.exp, "sin": math.sin, "log1p": math.log1p}
 _DEFAULT_MAX_N = 30
@@ -80,10 +71,9 @@ def _cmd_rule(args) -> int:
     elif args.format == "csv":
         sys.stdout.write(rule_to_csv(rule))
     else:
+        # the csv rows with spaces for commas; a %.17g float holds no comma
         print(f"rule n={rule.n} k={rule.k} ({len(rule.nodes)} nodes)")
-        print("j node weight")
-        for j, (x, w) in enumerate(zip(rule.nodes, rule.weights), start=1):
-            print(f"{j} {_fmt17(x)} {_fmt17(w)}")
+        sys.stdout.write(rule_to_csv(rule).replace(",", " "))
     return 0
 
 
@@ -113,21 +103,14 @@ def _cmd_integrate(args) -> int:
 
 def _cmd_verify(args) -> int:
     _require(0 <= args.max_n <= _VERIFY_MAX_N, f"require 0 <= max-n <= {_VERIFY_MAX_N}")
-    reports = verify_identity_suite(args.max_n)
-    for n in range(args.max_n + 1):
-        reports.extend(verify_orthogonality(n))
-        reports.extend(verify_aux_orthogonality(n, args.max_n))
-    # the sort is stable: each orthogonality and aux run keeps its pairs in l order
-    reports.sort(key=_report_order)
+    reports = _report_stream(args.max_n)
     if args.format == "json":
         print(reports_to_json_lines(reports))
     elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
+        writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["identity", "n", "k", "pass", "residual", "note"])
         for r in reports:
             writer.writerow([r.identity, r.n, r.k, str(r.passed).lower(), r.residual, r.note])
-        sys.stdout.write(buf.getvalue())
     else:
         for r in reports:
             status = "PASS" if r.passed else "FAIL"
@@ -146,31 +129,27 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Alternative Legendre polynomials on [0,1] and their Gauss-type quadrature",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    index = argparse.ArgumentParser(add_help=False)
+    index.add_argument("--n", type=int, required=True)
+    index.add_argument("--k", type=int, required=True)
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("text", "csv", "json"), default="text")
 
-    p = sub.add_parser("coeffs", help="exact coefficients of P_nk")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--format", choices=("text", "csv", "json"), default="text")
+    p = sub.add_parser("coeffs", parents=[index, fmt], help="exact coefficients of P_nk")
     p.set_defaults(func=_cmd_coeffs)
 
-    p = sub.add_parser("eval", help="evaluate P_nk at a point")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p = sub.add_parser("eval", parents=[index], help="evaluate P_nk at a point")
     p.add_argument("--x", type=float, required=True)
     p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("rule", help="nodes and weights of the (n,k) rule")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--format", choices=("text", "csv", "json"), default="text")
+    p = sub.add_parser("rule", parents=[index, fmt], help="nodes and weights of the (n,k) rule")
     p.set_defaults(func=_cmd_rule)
 
-    p = sub.add_parser("integrate", help="apply the (n,k) rule to an integrand")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p = sub.add_parser("integrate", parents=[index], help="apply the (n,k) rule to an integrand")
     p.add_argument("--f", type=str, required=True, help="poly:c0,c1,... or exp|sin|log1p")
     p.set_defaults(func=_cmd_integrate)
 
+    # declared here, not through fmt, so that --format follows --max-n in usage and help
     p = sub.add_parser("verify", help="run the exact identity suite")
     p.add_argument("--max-n", type=int, default=8, dest="max_n")
     p.add_argument("--format", choices=("text", "csv", "json"), default="text")

@@ -244,6 +244,17 @@ def verify_identity_suite(nmax: int) -> list[IdentityReport]:
     return reports
 
 
+def _report_stream(nmax: int) -> list[IdentityReport]:
+    """Every report of ``alpquad verify --max-n nmax``, in (n, k, identity) order."""
+    reports = verify_identity_suite(nmax)
+    for n in range(nmax + 1):
+        reports.extend(verify_orthogonality(n))
+        reports.extend(verify_aux_orthogonality(n, nmax))
+    # the sort is stable: each orthogonality and aux run keeps its pairs in l order
+    reports.sort(key=_report_order)
+    return reports
+
+
 def expected_to_pass(identity: str, n: int, k: int) -> bool:
     """Expected outcome per identity: published misprints must fail.
 

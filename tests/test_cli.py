@@ -97,6 +97,21 @@ def test_rule_csv_matches_reference(capsys):
         assert abs(float(w) - want[1]) <= 1e-12
 
 
+@pytest.mark.parametrize(
+    "fmt, want",
+    [
+        ("text", "5658c0d5bf7d950dded287e322caff17b880f0e0f7a504957ccd1ec8a067a6a4"),
+        ("csv", "d04e616c4644626fcc4997cdde58ef2a4876645ba564d44593bcfd3548701a6b"),
+        ("json", "4ae0fb06b4750649c1f6820dc27cce9e4830de28c34366adb32c28f8bc4d07fd"),
+    ],
+)
+def test_rule_bytes_are_pinned(capsys, fmt, want):
+    # a deliberate change of the nodes or weights re-pins this test as a spec change
+    code, out, err = run_cli(capsys, "rule", "--n", "12", "--k", "4", "--format", fmt)
+    assert (code, err) == (0, "")
+    assert sha256(out) == want
+
+
 def test_cli_byte_determinism(capsys):
     first = run_cli(capsys, "rule", "--n", "4", "--k", "2", "--format", "json")
     second = run_cli(capsys, "rule", "--n", "4", "--k", "2", "--format", "json")
@@ -243,6 +258,33 @@ def test_usage_errors_exit_2(capsys):
     assert run_cli(capsys, "integrate", "--n", "1", "--k", "1", "--f", "tan")[0] == 2
     assert run_cli(capsys, "integrate", "--n", "1", "--k", "1", "--f", "poly:1,a")[0] == 2
     assert run_cli(capsys, "eval", "--n", "2", "--k", "1", "--x", "nan")[0] == 2
+
+
+@pytest.mark.parametrize(
+    "argv, want_code, want",
+    [
+        (["--help"], 0, "9312f4c97336a2c1b960fafa5e1071e7bcff0ad4989dee834032be00775b1ce4"),
+        (["coeffs", "--help"], 0, "7fd9f953c20b1e092aa23f70d461a8e69b158b0fe0db0c8c11ee7ad098cc6666"),
+        (["eval", "--help"], 0, "8a98df792f7979aa5c235c79fdd67d16b994844b950e5b6cd6877b32b9efcb35"),
+        (["rule", "--help"], 0, "2f7a97112cb8a08a62da932d88899889917393e56fc4b1ec4e0a7f3dcd998196"),
+        (["integrate", "--help"], 0, "0dea5a439c7b64a35b1d25c722e77556cb04845b9a2fc85362bfcd0b3f718647"),
+        (["verify", "--help"], 0, "d26168dfea7f0218b9da49c04d712737e7c980f12e875d9830214f0958b8285e"),
+        ([], 2, "496bca284dfecbbb55b33f25fe908811e24668f5308a73aff2dc7c023cb8f1e7"),
+        (["coeffs", "--k", "2"], 2, "e345a755fc9fc0ba62391d0626138e135852530d10cfb36e95f58bc98556b25e"),
+        (["rule", "--n", "2"], 2, "ba494a039a84ed82d9cda4e2e337f4377dbfb09eca44754f39eb4e5e5f7405eb"),
+        (["rule", "--n", "2", "--k", "1", "--format", "xml"], 2, "28f6e148c40e1797abba7f158621eb28a1eee6bc2893f28918b2f969b0aa13cf"),
+        (["eval", "--n", "two", "--k", "1", "--x", "0.5"], 2, "21bfde4ef73e7bb0b6531e7cedef1710ea4cd6314607ce4e66055315d12e0285"),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else None,
+)
+def test_parser_bytes_are_pinned(capsys, monkeypatch, argv, want_code, want):
+    # help and usage errors as argparse writes them; argparse wraps to COLUMNS
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == want_code
+    assert sha256(out + "\0" + err) == want
 
 
 def test_argparse_usage_exit_2(capsys):

@@ -24,7 +24,7 @@ from alpquad import (
 )
 from alpquad import verify
 from alpquad.family import CORRECTED, PUBLISHED, ode_residual, recurrence_coefficients
-from alpquad.verify import _orthogonality_reports
+from alpquad.verify import _orthogonality_reports, _report_stream
 
 
 def by_identity(reports, name):
@@ -261,6 +261,7 @@ def test_order_20_json_stream_is_pinned():
         reports.extend(verify_aux_orthogonality(n, nmax))
     reports.sort(key=lambda r: (r.n, r.k, r.identity))
     assert len(reports) == 6713
+    assert _report_stream(nmax) == reports
 
     def digest(reports):
         return hashlib.sha256((reports_to_json_lines(reports) + "\n").encode()).hexdigest()
