@@ -59,7 +59,11 @@ def _cmd_coeffs(args) -> int:
 def _cmd_eval(args) -> int:
     _require_index(args, 0)
     _require(math.isfinite(args.x), "x must be finite")
-    print(_fmt17(alp_eval(args.n, args.k, args.x)))
+    value = alp_eval(args.n, args.k, args.x)
+    if math.isnan(value):
+        print(f"error: evaluation overflowed to nan at n={args.n}, k={args.k}, x={args.x!r}", file=sys.stderr)
+        return 3
+    print(_fmt17(value))
     return 0
 
 

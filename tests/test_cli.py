@@ -62,6 +62,13 @@ def test_eval_known_values(capsys):
     assert code == 0 and abs(float(out)) <= 1e-15
 
 
+def test_eval_nan_exits_3_and_overflow_prints_inf(capsys):
+    assert run_cli(capsys, "eval", "--n", "5", "--k", "2", "--x", "1e100") == (0, "-inf\n", "")
+    for n, k, x in ((20, 20, "1e20"), (20, 0, "1e15")):
+        code, out, err = run_cli(capsys, "eval", "--n", str(n), "--k", str(k), "--x", x)
+        assert (code, out) == (3, "") and f"n={n}, k={k}, x={float(x)!r}" in err
+
+
 def test_rule_text_golden(capsys):
     code, out, _ = run_cli(capsys, "rule", "--n", "1", "--k", "1")
     assert code == 0
@@ -260,25 +267,32 @@ def test_usage_errors_exit_2(capsys):
     assert run_cli(capsys, "eval", "--n", "2", "--k", "1", "--x", "nan")[0] == 2
 
 
-@pytest.mark.parametrize(
-    "argv, want_code, want",
-    [
-        (["--help"], 0, "9312f4c97336a2c1b960fafa5e1071e7bcff0ad4989dee834032be00775b1ce4"),
-        (["coeffs", "--help"], 0, "7fd9f953c20b1e092aa23f70d461a8e69b158b0fe0db0c8c11ee7ad098cc6666"),
-        (["eval", "--help"], 0, "8a98df792f7979aa5c235c79fdd67d16b994844b950e5b6cd6877b32b9efcb35"),
-        (["rule", "--help"], 0, "2f7a97112cb8a08a62da932d88899889917393e56fc4b1ec4e0a7f3dcd998196"),
-        (["integrate", "--help"], 0, "0dea5a439c7b64a35b1d25c722e77556cb04845b9a2fc85362bfcd0b3f718647"),
-        (["verify", "--help"], 0, "d26168dfea7f0218b9da49c04d712737e7c980f12e875d9830214f0958b8285e"),
-        ([], 2, "496bca284dfecbbb55b33f25fe908811e24668f5308a73aff2dc7c023cb8f1e7"),
-        (["coeffs", "--k", "2"], 2, "e345a755fc9fc0ba62391d0626138e135852530d10cfb36e95f58bc98556b25e"),
-        (["rule", "--n", "2"], 2, "ba494a039a84ed82d9cda4e2e337f4377dbfb09eca44754f39eb4e5e5f7405eb"),
-        (["rule", "--n", "2", "--k", "1", "--format", "xml"], 2, "28f6e148c40e1797abba7f158621eb28a1eee6bc2893f28918b2f969b0aa13cf"),
-        (["eval", "--n", "two", "--k", "1", "--x", "0.5"], 2, "21bfde4ef73e7bb0b6531e7cedef1710ea4cd6314607ce4e66055315d12e0285"),
-    ],
-    ids=lambda v: " ".join(v) if isinstance(v, list) else None,
-)
+PARSER_PINS = [
+    (["--help"], 0, "9312f4c97336a2c1b960fafa5e1071e7bcff0ad4989dee834032be00775b1ce4"),
+    (["coeffs", "--help"], 0, "7fd9f953c20b1e092aa23f70d461a8e69b158b0fe0db0c8c11ee7ad098cc6666"),
+    (["eval", "--help"], 0, "8a98df792f7979aa5c235c79fdd67d16b994844b950e5b6cd6877b32b9efcb35"),
+    (["rule", "--help"], 0, "2f7a97112cb8a08a62da932d88899889917393e56fc4b1ec4e0a7f3dcd998196"),
+    (["integrate", "--help"], 0, "0dea5a439c7b64a35b1d25c722e77556cb04845b9a2fc85362bfcd0b3f718647"),
+    (["verify", "--help"], 0, "d26168dfea7f0218b9da49c04d712737e7c980f12e875d9830214f0958b8285e"),
+    ([], 2, "496bca284dfecbbb55b33f25fe908811e24668f5308a73aff2dc7c023cb8f1e7"),
+    (["coeffs", "--k", "2"], 2, "e345a755fc9fc0ba62391d0626138e135852530d10cfb36e95f58bc98556b25e"),
+    (["rule", "--n", "2"], 2, "ba494a039a84ed82d9cda4e2e337f4377dbfb09eca44754f39eb4e5e5f7405eb"),
+    (
+        ["rule", "--n", "2", "--k", "1", "--format", "xml"],
+        2,
+        "28f6e148c40e1797abba7f158621eb28a1eee6bc2893f28918b2f969b0aa13cf",
+    ),
+    (
+        ["eval", "--n", "two", "--k", "1", "--x", "0.5"],
+        2,
+        "21bfde4ef73e7bb0b6531e7cedef1710ea4cd6314607ce4e66055315d12e0285",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, want_code, want", PARSER_PINS, ids=[" ".join(p[0]) or "none" for p in PARSER_PINS])
 def test_parser_bytes_are_pinned(capsys, monkeypatch, argv, want_code, want):
-    # help and usage errors as argparse writes them; argparse wraps to COLUMNS
+    # help and usage errors as Python 3.11's argparse writes them; it wraps to COLUMNS
     monkeypatch.setenv("COLUMNS", "80")
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
