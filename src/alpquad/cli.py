@@ -61,7 +61,7 @@ def _cmd_eval(args) -> int:
     _require(math.isfinite(args.x), "x must be finite")
     value = alp_eval(args.n, args.k, args.x)
     if math.isnan(value):
-        print(f"error: evaluation overflowed to nan at n={args.n}, k={args.k}, x={args.x!r}", file=sys.stderr)
+        print(f"error: eval overflowed to nan at n={args.n}, k={args.k}, x={args.x!r}", file=sys.stderr)
         return 3
     print(_fmt17(value))
     return 0
@@ -75,8 +75,8 @@ def _cmd_rule(args) -> int:
     elif args.format == "csv":
         sys.stdout.write(rule_to_csv(rule))
     else:
-        # the csv rows with spaces for commas; a %.17g float holds no comma
         print(f"rule n={rule.n} k={rule.k} ({len(rule.nodes)} nodes)")
+        # the csv rows with spaces for commas; a %.17g float holds no comma
         sys.stdout.write(rule_to_csv(rule).replace(",", " "))
     return 0
 
