@@ -12,104 +12,21 @@ family generates (exact precisely for monomial degrees 2k-1 through 2n).
 An exact-rational verification suite certifies every identity and
 documents three misprinted constants found in published formulas for this
 family; see ``alpquad.verify``.
+
+Each public name is declared once, in the ``__all__`` of its module; this
+namespace and its ``__all__`` re-export exactly the lists of ``exactpoly``,
+``family``, ``jacobi``, ``quadrature`` and ``verify``, plus ``__version__``.
 """
 
-from .exactpoly import Polynomial, inner_product
-from .family import (
-    CORRECTED,
-    PUBLISHED,
-    AlpFamily,
-    RecurrenceCoefficients,
-    alp_coefficients,
-    alp_coefficients_hypergeometric,
-    alp_coefficients_jacobi,
-    alp_coefficients_rodrigues,
-    alp_derivative_eval,
-    alp_eval,
-    alp_eval_exact,
-    alp_eval_recurrence,
-    aux_coefficients,
-    aux_eval,
-    family,
-    ode_residual,
-    reciprocity_transform,
-    recurrence_coefficients,
-)
-from .jacobi import (
-    binomial_general,
-    jacobi_eval,
-    jacobi_shifted_coefficients,
-    pochhammer,
-)
-from .quadrature import (
-    QuadratureRule,
-    RootFindingError,
-    build_rule,
-    exactness_report,
-    expand_in_alp,
-    integrate,
-    nodes,
-    rule_to_csv,
-    rule_to_json,
-    weights,
-)
-from .verify import (
-    IdentityReport,
-    expected_to_pass,
-    fit_lowering_coefficients,
-    report_from_json,
-    reports_to_json_lines,
-    suite_passes,
-    verify_aux_orthogonality,
-    verify_identity_suite,
-    verify_orthogonality,
-)
+# `_family` keeps the module: `from .family import *` rebinds `family` to the constructor
+from . import exactpoly, family as _family, jacobi, quadrature, verify
+from .exactpoly import *
+from .family import *
+from .jacobi import *
+from .quadrature import *
+from .verify import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Polynomial",
-    "inner_product",
-    "CORRECTED",
-    "PUBLISHED",
-    "AlpFamily",
-    "RecurrenceCoefficients",
-    "alp_coefficients",
-    "alp_coefficients_hypergeometric",
-    "alp_coefficients_jacobi",
-    "alp_coefficients_rodrigues",
-    "alp_derivative_eval",
-    "alp_eval",
-    "alp_eval_exact",
-    "alp_eval_recurrence",
-    "aux_coefficients",
-    "aux_eval",
-    "family",
-    "ode_residual",
-    "reciprocity_transform",
-    "recurrence_coefficients",
-    "binomial_general",
-    "jacobi_eval",
-    "jacobi_shifted_coefficients",
-    "pochhammer",
-    "QuadratureRule",
-    "RootFindingError",
-    "build_rule",
-    "exactness_report",
-    "expand_in_alp",
-    "integrate",
-    "nodes",
-    "rule_to_csv",
-    "rule_to_json",
-    "weights",
-    "IdentityReport",
-    "expected_to_pass",
-    "fit_lowering_coefficients",
-    "report_from_json",
-    "reports_to_json_lines",
-    "suite_passes",
-    "verify_aux_orthogonality",
-    "verify_identity_suite",
-    "verify_orthogonality",
-    "__version__",
-]
+__all__ = [*exactpoly.__all__, *_family.__all__, *jacobi.__all__, *quadrature.__all__,
+           *verify.__all__, "__version__"]

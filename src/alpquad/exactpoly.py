@@ -1,8 +1,10 @@
 """Dense univariate polynomial arithmetic over exact rational coefficients.
 
-Everything here is exact: coefficients are `int` when integral and
-`fractions.Fraction` otherwise, so equality checks and integrals are
-decisive (no floating point anywhere). Polynomials are immutable and hashable.
+Coefficients and arithmetic are exact: coefficients are `int` when integral
+and `fractions.Fraction` otherwise, so equality checks and integrals are
+decisive. Floats appear in two outputs only: `Polynomial.float_coeffs()`, and
+calling a `Polynomial` at a float point, which evaluates in float.
+Polynomials are immutable and hashable.
 """
 
 from __future__ import annotations

@@ -35,7 +35,6 @@ __all__ = [
     "binomial_general",
     "jacobi_shifted_coefficients",
     "jacobi_eval",
-    "jacobi_derivative_eval",
 ]
 
 

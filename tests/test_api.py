@@ -2,10 +2,13 @@
 
 import importlib
 import importlib.util
+import sys
+import types
 from pathlib import Path
 
 import alpquad
 
+REEXPORTED = ["exactpoly", "family", "jacobi", "quadrature", "verify"]
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
 PUBLIC = [
@@ -76,3 +79,19 @@ def test_public_api_and_traced_names_resolve():
         owner = getattr(importlib.import_module(module), cls)
         for method in methods:
             assert callable(getattr(owner, method, None)), (span, method)
+
+
+def test_package_namespace_is_the_module_lists():
+    # the package star-imports each module, so a name in two lists would silently shadow the other
+    home = {}
+    for module in REEXPORTED:
+        for name in importlib.import_module(f"alpquad.{module}").__all__:
+            assert name not in home, (name, home.get(name), module)
+            home[name] = module
+    for name in alpquad.__all__:
+        if name != "__version__":
+            assert getattr(alpquad, name) is getattr(sys.modules[f"alpquad.{home[name]}"], name), name
+    assert alpquad.family is sys.modules["alpquad.family"].family
+    public = [name for name, value in vars(alpquad).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)]
+    assert [name for name in public if name not in alpquad.__all__] == []
