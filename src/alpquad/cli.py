@@ -16,7 +16,7 @@ import sys
 from .family import alp_coefficients, alp_eval
 from .horner import horner
 from .quadrature import RootFindingError, _fmt17, build_rule, integrate, rule_to_csv, rule_to_json
-from .verify import _report_stream, expected_to_pass, reports_to_json_lines, suite_passes
+from .verify import _REPORT_KEYS, _report_stream, expected_to_pass, reports_to_json_lines, suite_passes
 
 _NAMED_INTEGRANDS = {"exp": math.exp, "sin": math.sin, "log1p": math.log1p}
 _DEFAULT_MAX_N = 30
@@ -112,7 +112,7 @@ def _cmd_verify(args) -> int:
         print(reports_to_json_lines(reports))
     elif args.format == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["identity", "n", "k", "pass", "residual", "note"])
+        writer.writerow(_REPORT_KEYS)
         for r in reports:
             writer.writerow([r.identity, r.n, r.k, str(r.passed).lower(), r.residual, r.note])
     else:

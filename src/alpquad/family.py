@@ -234,7 +234,6 @@ class AlpFamily:
         self._float_exact = tuple(all(abs(c) <= _MAX_EXACT_FLOAT for c in p.coeffs) for p in polys)
 
     def polynomial(self, k: int) -> Polynomial:
-        _check_index(self.n, k)
         return alp_coefficients(self.n, k)
 
     def float_coefficients(self, k: int) -> tuple[float, ...]:
@@ -290,7 +289,6 @@ def alp_eval(n: int, k: int, x):
 
 def alp_eval_exact(n: int, k: int, x) -> Fraction:
     """P_nk(x) in exact rational arithmetic; x is coerced to Fraction."""
-    _check_index(n, k)
     return alp_coefficients(n, k)(Fraction(x))
 
 
@@ -380,7 +378,6 @@ def ode_residual(n: int, k: int) -> Polynomial:
     Returns x^2 (1-x) zeta'' - x^2 zeta' + ((n+1)^2 x - k(k+1)) zeta as an
     exact polynomial; identically zero for every valid (n, k).
     """
-    _check_index(n, k)
     zeta = alp_coefficients(n, k).shifted(1)
     z1 = zeta.derivative()
     z2 = z1.derivative()

@@ -14,6 +14,9 @@ exact linear fit solved by Cramer's rule.
 
 Reports serialize to JSON lines:
     {"identity": str, "n": int, "k": int, "pass": bool, "residual": str, "note": str}
+The schema is declared once, in ``_REPORT_KEYS``: the JSON keys and the
+``alpquad verify`` CSV header are those six names, in the field order of
+``IdentityReport``, whose ``passed`` serialises as "pass".
 """
 
 from __future__ import annotations
@@ -52,6 +55,10 @@ __all__ = [
 ]
 
 
+# the serialised names of the IdentityReport fields, in field order
+_REPORT_KEYS = ("identity", "n", "k", "pass", "residual", "note")
+
+
 @dataclass(frozen=True)
 class IdentityReport:
     """Outcome of one exact check; passed iff residual is exactly zero."""
@@ -64,16 +71,8 @@ class IdentityReport:
     note: str = ""
 
     def json_line(self) -> str:
-        return json.dumps(
-            {
-                "identity": self.identity,
-                "n": self.n,
-                "k": self.k,
-                "pass": self.passed,
-                "residual": self.residual,
-                "note": self.note,
-            }
-        )
+        # the instance dict holds the fields in field order; astuple would deep-copy each one
+        return json.dumps(dict(zip(_REPORT_KEYS, vars(self).values())))
 
 
 # the canonical report order, shared by the identity suite and ``alpquad verify``
@@ -82,14 +81,7 @@ _report_order = attrgetter("n", "k", "identity")
 
 def report_from_json(line: str) -> IdentityReport:
     d = json.loads(line)
-    return IdentityReport(
-        identity=d["identity"],
-        n=d["n"],
-        k=d["k"],
-        passed=d["pass"],
-        residual=d["residual"],
-        note=d["note"],
-    )
+    return IdentityReport(*(d[key] for key in _REPORT_KEYS))
 
 
 def reports_to_json_lines(reports) -> str:
@@ -99,11 +91,6 @@ def reports_to_json_lines(reports) -> str:
 def _poly_report(identity: str, n: int, k: int, residual: Polynomial, note: str = "") -> IdentityReport:
     ok = residual.is_zero
     return IdentityReport(identity, n, k, ok, "0" if ok else str(residual.max_abs_coeff()), note)
-
-
-def _value_report(identity: str, n: int, k: int, value: Fraction, expected: Fraction, note: str = "") -> IdentityReport:
-    diff = value - expected
-    return IdentityReport(identity, n, k, diff == 0, str(abs(diff)), note)
 
 
 def _orthogonality_reports(
@@ -172,57 +159,42 @@ def _lowering_residual(
     return _combine((r.kappa, 2, dp), (-r.kappa, 1, dp), (-r.lam, 0, p), (mu, 1, p), (r.nu, 1, below))
 
 
-def _route_report(identity: str, n: int, k: int, route: Polynomial, p: Polynomial, note: str = "") -> IdentityReport:
-    # route == p is exactly "residual is zero"; the difference is formed only for a failure
-    if route == p:
-        return IdentityReport(identity, n, k, True, "0", note)
-    return _poly_report(identity, n, k, route - p, note)
-
-
 def _pair_reports(n: int, k: int) -> list[IdentityReport]:
     p = alp_coefficients(n, k)
     r = recurrence_coefficients(n, k)
     dp = p.derivative()
     # no P_{n,n+1}: at k = n its factors d and delta vanish and the zero polynomial stands in
     above = alp_coefficients(n, k + 1) if k < n else Polynomial()
+    unit = p.integrate01() - Fraction(1, n + 1)
     reports = [
-        _route_report("rodrigues", n, k, alp_coefficients_rodrigues(n, k), p),
-        _value_report("unit_integral", n, k, p.integrate01(), Fraction(1, n + 1)),
-        _route_report("reciprocity", n, k, reciprocity_transform(n, k), p),
+        IdentityReport("unit_integral", n, k, unit == 0, str(abs(unit))),
         _poly_report("ode", n, k, ode_residual(n, k)),
         _poly_report("derivative_raising", n, k, _raising_residual(r, p, dp, above)),
-        _route_report(
-            "hypergeometric", n, k, alp_coefficients_hypergeometric(n, k, CORRECTED), p,
-            note="corrected parameters C(n+k+1,n-k), c=2k+2",
-        ),
-        _route_report(
-            "hypergeometric_published", n, k, alp_coefficients_hypergeometric(n, k, PUBLISHED), p,
-            note="published parameters C(n+k,n-k), c=2k+1; failure expected for k < n",
-        ),
-        _route_report(
-            "jacobi_form", n, k, alp_coefficients_jacobi(n, k, CORRECTED), p,
-            note="corrected superscripts (2k+1, 0)",
-        ),
-        _route_report(
-            "jacobi_form_published", n, k, alp_coefficients_jacobi(n, k, PUBLISHED), p,
-            note="published superscripts (2k, 1); failure expected for k < n",
-        ),
     ]
     if k >= 1:
         below = alp_coefficients(n, k - 1)
-        reports.append(_poly_report("recurrence", n, k, _recurrence_residual(r, p, below, above)))
-        reports.append(
-            _poly_report(
-                "derivative_lowering", n, k, _lowering_residual(r, p, dp, below, r.mu),
-                note=f"corrected mu={r.mu}",
-            )
-        )
-        reports.append(
-            _poly_report(
-                "derivative_lowering_published", n, k, _lowering_residual(r, p, dp, below, r.mu_published),
-                note=f"published mu={r.mu_published}, corrected mu={r.mu}; failure expected",
-            )
-        )
+        reports += [
+            _poly_report("recurrence", n, k, _recurrence_residual(r, p, below, above)),
+            _poly_report("derivative_lowering", n, k, _lowering_residual(r, p, dp, below, r.mu),
+                         f"corrected mu={r.mu}"),
+            _poly_report("derivative_lowering_published", n, k, _lowering_residual(r, p, dp, below, r.mu_published),
+                         f"published mu={r.mu_published}, corrected mu={r.mu}; failure expected"),
+        ]
+    # the coefficient routes, each compared with p; built here, not at module level, so routes resolve at call time
+    routes = (
+        ("rodrigues", alp_coefficients_rodrigues(n, k), ""),
+        ("reciprocity", reciprocity_transform(n, k), ""),
+        ("hypergeometric", alp_coefficients_hypergeometric(n, k, CORRECTED),
+         "corrected parameters C(n+k+1,n-k), c=2k+2"),
+        ("hypergeometric_published", alp_coefficients_hypergeometric(n, k, PUBLISHED),
+         "published parameters C(n+k,n-k), c=2k+1; failure expected for k < n"),
+        ("jacobi_form", alp_coefficients_jacobi(n, k, CORRECTED), "corrected superscripts (2k+1, 0)"),
+        ("jacobi_form_published", alp_coefficients_jacobi(n, k, PUBLISHED),
+         "published superscripts (2k, 1); failure expected for k < n"),
+    )
+    for identity, route, note in routes:
+        # route == p is exactly "residual is zero"; the difference is formed only for a failure
+        reports.append(_poly_report(identity, n, k, Polynomial() if route == p else route - p, note))
     return reports
 
 

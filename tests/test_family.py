@@ -113,11 +113,30 @@ def test_near_zero_behaviour():
 
 
 def test_index_validation():
+    """Each (n, k) entry point fails with the one family-index message,
+    whether it checks the index itself or leaves it to alp_coefficients."""
+    message = "family index requires 0 <= k <= n"
+    calls = [
+        alp_coefficients,
+        lambda n, k: alp_eval(n, k, 0.5),
+        lambda n, k: alp_eval_exact(n, k, Fraction(1, 2)),
+        ode_residual,
+        recurrence_coefficients,
+        lambda n, k: alp_derivative_eval(n, k, 0.5),
+        alp_coefficients_rodrigues,
+        alp_coefficients_hypergeometric,
+        alp_coefficients_jacobi,
+        reciprocity_transform,
+    ]
     for bad in [(2, 3), (2, -1), (-1, 0)]:
-        with pytest.raises(ValueError):
-            alp_coefficients(*bad)
-        with pytest.raises(ValueError):
-            alp_eval(*bad, 0.5)
+        for call in calls:
+            with pytest.raises(ValueError, match=message):
+                call(*bad)
+    for k in (3, -1):
+        with pytest.raises(ValueError, match=message):
+            family(2).polynomial(k)
+        with pytest.raises(ValueError, match=message):
+            family(2).float_coefficients(k)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from alpquad import (
     verify_identity_suite,
     verify_orthogonality,
 )
-from alpquad import verify
+from alpquad import cli, verify
 from alpquad.family import CORRECTED, PUBLISHED, ode_residual, recurrence_coefficients
 from alpquad.verify import _orthogonality_reports, _report_stream
 
@@ -136,12 +136,18 @@ def test_expected_to_pass_table():
     assert not expected_to_pass("jacobi_form_published", 4, 0)
 
 
-def test_report_json_roundtrip_and_schema():
-    reports = verify_identity_suite(1)
+def test_report_json_roundtrip_and_schema(capsys):
+    """Every report kind of a verify run, failing published checks and
+    l=... notes included, round-trips through JSON, and its keys, in
+    order, are the CSV header of ``alpquad verify``."""
+    assert cli.main(["verify", "--max-n", "0", "--format", "csv"]) == 0
+    header = capsys.readouterr().out.splitlines()[0].split(",")
+    reports = _report_stream(6)
+    assert {r.identity for r in reports} >= {"orthogonality", "aux_orthogonality", "aux_sign", "sign_normalization"}
+    assert any(not r.passed for r in reports) and any(r.note.startswith("l=") for r in reports)
     for rep in reports:
         line = rep.json_line()
-        parsed = json.loads(line)
-        assert set(parsed) == {"identity", "n", "k", "pass", "residual", "note"}
+        assert list(json.loads(line)) == header
         assert report_from_json(line) == rep
     lines = reports_to_json_lines(reports).splitlines()
     assert len(lines) == len(reports)
