@@ -114,7 +114,7 @@ def _cmd_verify(args) -> int:
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(_REPORT_KEYS)
         for r in reports:
-            writer.writerow([r.identity, r.n, r.k, str(r.passed).lower(), r.residual, r.note])
+            writer.writerow([str(v).lower() if isinstance(v, bool) else v for v in vars(r).values()])
     else:
         for r in reports:
             status = "PASS" if r.passed else "FAIL"

@@ -12,7 +12,7 @@ import sys
 import pytest
 
 import alpquad
-from alpquad import cli
+from alpquad import cli, verify
 from alpquad.quadrature import RootFindingError
 
 
@@ -244,6 +244,18 @@ def test_verify_csv_header(capsys):
     code, out, _ = run_cli(capsys, "verify", "--max-n", "0", "--format", "csv")
     assert code == 0
     assert out.splitlines()[0] == "identity,n,k,pass,residual,note"
+
+
+def test_verify_csv_rows_follow_the_json_fields(capsys):
+    # each row is the report's field values in order, the bool as true/false
+    code, out, _ = run_cli(capsys, "verify", "--max-n", "6", "--format", "csv")
+    assert code == 0
+    rows = list(csv.reader(out.splitlines()[1:]))
+    reports = verify._report_stream(6)
+    assert len(rows) == len(reports)
+    for row, report in zip(rows, reports):
+        fields = json.loads(report.json_line()).values()
+        assert row == [str(v).lower() if isinstance(v, bool) else str(v) for v in fields]
 
 
 def test_verify_rejects_large_max_n(capsys):

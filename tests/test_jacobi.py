@@ -5,9 +5,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from alpquad import Polynomial
+from alpquad import Polynomial, nodes
+from alpquad import jacobi
 from alpquad.jacobi import (
     _jacobi_matrix,
+    _jacobi_pair,
     binomial_general,
     jacobi_derivative_eval,
     jacobi_eval,
@@ -149,3 +151,60 @@ def test_jacobi_matrix_legendre_case_is_finite():
     for a in (1, 2, 7, 80):
         s = 2.0 * np.arange(12, dtype=float) + a
         assert np.array_equal(_jacobi_matrix(12, a)[0], -a * a / (s * (s + 2.0)))
+
+
+def test_fused_pair_equals_separate_evaluations():
+    # the Newton pass of the nodes: both rows bit for bit as jacobi_eval and
+    # jacobi_derivative_eval give them, at the rule's own nodes and beyond
+    rng = np.random.default_rng(17)
+    cases = [(m, a) for m in range(1, 41) for a in sorted({0, 1, 2 * m - 1})]
+    points = [np.concatenate(([-1.0, 0.0, 1.0], 2.0 * rng.random(m) - 1.0)) for m, _ in cases]
+    # P^{(799,0)}_400 overflows near t = 1; the nodes of its rule (799, 400) stay in range
+    cases.append((400, 799))
+    points.append(1.0 - 2.0 * np.array(nodes(799, 400)))
+    for (m, a), t in zip(cases, points):
+        p, dp = _jacobi_pair(m, a, t)
+        assert np.array_equal(p, jacobi_eval(m, a, 0, t)), (m, a)
+        assert np.array_equal(dp, jacobi_derivative_eval(m, a, 0, t)), (m, a)
+
+
+def _stepwise_eval(m, alpha, beta, t):
+    """jacobi_eval as it was before the factors were cached: every factor formed at its step."""
+    pm2 = 1.0 + 0.0 * t
+    if m == 0:
+        return pm2
+    pm1 = (alpha + 1) + (alpha + beta + 2) * (t - 1) / 2
+    for j in range(2, m + 1):
+        c0 = 2 * j * (j + alpha + beta) * (2 * j + alpha + beta - 2)
+        c1 = (2 * j + alpha + beta - 1) * (alpha * alpha - beta * beta)
+        c2 = (2 * j + alpha + beta - 1) * (2 * j + alpha + beta) * (2 * j + alpha + beta - 2)
+        c3 = 2 * (j + alpha - 1) * (j + beta - 1) * (2 * j + alpha + beta)
+        pm1, pm2 = ((c2 * t + c1) * pm1 - c3 * pm2) / c0, pm1
+    return pm1
+
+
+@pytest.mark.parametrize("alpha,beta", [(3, 0), (8, 1), (2.5, 0.5), (-0.5, 1.5)])
+def test_eval_does_not_depend_on_the_cached_factors(alpha, beta):
+    # a table is cached per (alpha, beta) and length class and sliced per
+    # degree: cold, after a longer or a shorter degree and after clearing
+    # the cache, every value keeps the bits of the stepwise formula, scalar
+    # and array; 65 and 66 sit on either side of a table length
+    ts = np.linspace(-1.0, 1.0, 9)
+
+    def check(m):
+        want = _stepwise_eval(m, alpha, beta, ts)
+        assert jacobi_eval(m, alpha, beta, ts).tobytes() == want.tobytes(), m
+        assert [repr(jacobi_eval(m, alpha, beta, float(t))) for t in ts] == [
+            repr(_stepwise_eval(m, alpha, beta, float(t))) for t in ts
+        ], m
+
+    for m in (2, 30, 65, 66, 200, 1000):
+        jacobi._factor_table.cache_clear()
+        check(m)
+    for m in (30, 2, 65, 30, 1000, 66, 200, 65, 2, 200):
+        check(m)
+    # integer parameters keep integer factors: 3 and 3.0 are two tables
+    if isinstance(alpha, int):
+        assert jacobi._recurrence_factors(5, alpha, beta)[0] == jacobi._recurrence_factors(5, float(alpha), beta)[0]
+        assert type(jacobi._recurrence_factors(5, alpha, beta)[0][0]) is int
+        assert type(jacobi._recurrence_factors(5, float(alpha), beta)[0][0]) is float
