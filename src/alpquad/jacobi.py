@@ -16,24 +16,23 @@ Integer alpha may be negative here: the formal series extension with
 generalized binomial prefactor is what the reciprocity construction needs.
 
 The float side also owns the Jacobi matrix of P^{(a,0)}, which gives the
-quadrature nodes, the fused recurrence pass that polishes them, and the one
-routine that sums the reproducing kernel sum_{l=k}^{n} (2l+1) P_nl(x)^2 of
-the family: the denominator of every quadrature weight and of
-``AlpFamily.weight_denominator``.
+quadrature nodes, and the one routine that sums the reproducing kernel
+sum_{l=k}^{n} (2l+1) P_nl(x)^2 of the family: the denominator of every
+quadrature weight and of ``AlpFamily.weight_denominator``.
 
-The recurrence factors of each (alpha, beta) and the Jacobi matrix entries
-of each a depend only on the step index, so each is computed once, in a
-table cached per power-of-two length (at least 64) and sliced per degree.
-Both caches are bounded (128 tables each: below 28 MB and 2.3 MB at
-n = 1000); the sweeps to n = 40 measure +0.9 to +1.3 MB of peak memory.
-Every value stays bit for bit what the step-by-step formulas give, and no
-value, node or weight is cached.
+The recurrence factors of each (alpha, beta) depend only on the step
+index, so each is computed once, in a list cached per (alpha, beta) that
+serves every degree by its prefix (``_recurrence_factors``). The cache
+holds at most 128 lists of at most 1024 steps, below 28 MB; the sweeps to
+n = 40 measure +0.1 to +0.4 MB of peak memory. Every value stays bit for
+bit what the step-by-step formulas give, and no value is cached.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+import threading
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
@@ -131,41 +130,48 @@ def _finite_points(x):
     return x
 
 
-# One table per (alpha, beta, ``_table_length``), typed so that integer parameters keep integer
-# factors. A 64-step table takes about 13 KB; at n = 1000 a 1024-step table takes 0.21 MB, so
-# the 128 tables stay below 28 MB there.
+# The factors of a step depend only on (j, alpha, beta). One list per (alpha, beta), typed so
+# that integer parameters keep integer factors, holds the steps j = 2, 3, ... of the longest
+# degree asked for so far, up to _CACHED_STEPS; longer degrees compute theirs at each call.
+# A step of (2001, 0) takes 0.21 KB (tracemalloc), so 128 lists of 1024 such steps stay
+# below 28 MB, whatever degree is asked for.
+_CACHED_STEPS = 1024
+_EXTEND = threading.Lock()
+
+
 @lru_cache(maxsize=128, typed=True)
-def _factor_table(alpha, beta, length: int) -> tuple:
-    """The recurrence factors (c0, c1, c2, c3) of P^{(alpha,beta)} for the steps j = 2..length+1."""
-    table = []
-    for j in range(2, length + 2):
+def _factor_table(alpha, beta) -> list:
+    """The cached recurrence factors of P^{(alpha,beta)}, which ``_recurrence_factors`` extends."""
+    return []
+
+
+def _step_factors(alpha, beta, first: int, last: int):
+    """Yield the factors (c0, c1, c2, c3) of the recurrence steps j = first..last of P^{(alpha,beta)}.
+
+    The step from P_{j-1}, P_{j-2} to P_j is P_j = ((c2 t + c1) P_{j-1} - c3 P_{j-2}) / c0.
+    """
+    for j in range(first, last + 1):
         c0 = 2 * j * (j + alpha + beta) * (2 * j + alpha + beta - 2)
         c1 = (2 * j + alpha + beta - 1) * (alpha * alpha - beta * beta)
         c2 = (2 * j + alpha + beta - 1) * (2 * j + alpha + beta) * (2 * j + alpha + beta - 2)
         c3 = 2 * (j + alpha - 1) * (j + beta - 1) * (2 * j + alpha + beta)
-        table.append((c0, c1, c2, c3))
-    return tuple(table)
+        yield c0, c1, c2, c3
 
 
-def _table_length(n: int) -> int:
-    """The length of the cached table that serves n >= 1 entries: the least power of two >= max(n, 64).
+def _recurrence_factors(m: int, alpha, beta):
+    """The factors of the steps j = 2..m of P_m^{(alpha,beta)}, m >= 1.
 
-    So one table serves every degree up to its length. Without the floor, a
-    sweep over the members or rules to n = 40 touches 280 to 408 tables, more
-    than the caches hold; with it, 57 to 77.
+    Up to _CACHED_STEPS steps they are the prefix of the cached list, which
+    a miss extends by exactly the steps it lacks; longer runs are computed
+    and not kept.
     """
-    return 1 << max(n - 1, 63).bit_length()
-
-
-def _recurrence_factors(m: int, alpha, beta) -> tuple:
-    """The factors (c0, c1, c2, c3) of the recurrence steps j = 2..m of P_m^{(alpha,beta)}.
-
-    The step from P_{j-1}, P_{j-2} to P_j is P_j = ((c2 t + c1) P_{j-1} - c3 P_{j-2}) / c0.
-    The factors depend only on (j, alpha, beta), so the prefix of a longer cached table is exact.
-    """
-    if m < 2:
-        return ()
-    return _factor_table(alpha, beta, _table_length(m - 1))[: m - 1]
+    if m - 1 > _CACHED_STEPS:
+        return _step_factors(alpha, beta, 2, m)
+    table = _factor_table(alpha, beta)
+    if len(table) < m - 1:
+        with _EXTEND:  # entries are only appended, so a prefix once read never changes
+            table.extend(_step_factors(alpha, beta, len(table) + 2, m))
+    return table[: m - 1]
 
 
 def jacobi_eval(m: int, alpha: float, beta: float, t):
@@ -176,10 +182,10 @@ def jacobi_eval(m: int, alpha: float, beta: float, t):
     recurrence on the dominant solution; relative error stays near machine
     precision for the integer parameter ranges the quadrature tests
     certify (alpha up to 799, m up to 400). The step factors of each
-    (alpha, beta) are computed once and cached (``_recurrence_factors``,
-    shared with the node polish): at most 128 tables, below 28 MB at
-    n = 1000, and +0.9 to +1.3 MB of peak memory on the benchmark's sweeps
-    to n = 40. The values are those of the step-by-step formula bit for bit.
+    (alpha, beta) are computed once and cached for m <= 1025: at most 128
+    lists, below 28 MB whatever m is asked for, and +0.1 to +0.4 MB of
+    peak memory on the benchmark's sweeps to n = 40. The values are those
+    of the step-by-step formula bit for bit.
     """
     if m < 0:
         raise ValueError(f"degree must be nonnegative, got {m}")
@@ -200,58 +206,21 @@ def jacobi_derivative_eval(m: int, alpha: float, beta: float, t):
     return 0.5 * (m + alpha + beta + 1) * jacobi_eval(m - 1, alpha + 1, beta + 1, t)
 
 
-# one pair of read-only arrays per (a, ``_table_length``); at n = 1000 a 1024-entry pair takes
-# 18 KB, so the 128 pairs stay below 2.3 MB
-@lru_cache(maxsize=128)
-def _jacobi_matrix_table(a: int, length: int):
-    import numpy as np
-
-    j = np.arange(length, dtype=float)
-    s = 2.0 * j + a
-    diag = np.divide(-a * a, s * (s + 2.0), out=np.zeros(length), where=s > 0)
-    j, s = j[1:], s[1:]
-    off = np.sqrt(4.0 * j**2 * (j + a) ** 2 / (s**2 * (s + 1.0) * (s - 1.0)))
-    diag.flags.writeable = off.flags.writeable = False
-    return diag, off
-
-
 def _jacobi_matrix(m: int, a: int):
-    """Diagonal and off-diagonal (read-only numpy arrays) of the m x m Jacobi matrix of P^{(a,0)}.
+    """Diagonal and off-diagonal (numpy arrays) of the m x m Jacobi matrix of P^{(a,0)}.
 
     The polynomials p_j orthonormal for (1-t)^a on [-1, 1] satisfy
     t p_j = off[j-1] p_{j-1} + diag[j] p_j + off[j] p_{j+1}. For a = 0
     (Legendre) the diagonal is 0, which the closed form leaves as 0/0 at
-    j = 0. The entries depend only on (j, a), so they are sliced from a
-    cached longer matrix.
-    """
-    diag, off = _jacobi_matrix_table(a, _table_length(m))
-    return diag[:m], off[: m - 1]
-
-
-def _jacobi_pair(m: int, a: int, t):
-    """P_m^{(a,0)}(t) and its derivative at the points of a 1-d float array t, in one pass.
-
-    The derivative is 0.5 (m+a+1) P_{m-1}^{(a+1,1)}(t), as ``jacobi_derivative_eval`` forms it.
-    The two polynomials are the rows of one (2, len(t)) recurrence over the factors of
-    ``_recurrence_factors``; the shorter row ends on the identity step (c0, c1, c2, c3) =
-    (1, 1, 0, 0), and c2 t + c1 is formed for every step first, which holds 2 (m-1) len(t)
-    doubles. Each value takes the operations ``jacobi_eval`` takes, so both agree with
-    ``jacobi_eval`` and ``jacobi_derivative_eval`` bit for bit.
+    j = 0.
     """
     import numpy as np
 
-    alpha, beta = np.array([[a], [a + 1]], dtype=float), np.array([[0.0], [1.0]])
-    pm2 = np.ones((2, t.size))
-    pm1 = (alpha + 1) + (alpha + beta + 2) * (t - 1) / 2
-    if m == 1:
-        return pm1[0], 0.5 * (m + a + 1) * pm2[1]
-    rows = (_recurrence_factors(m, a, 0), _recurrence_factors(m - 1, a + 1, 1) + ((1, 1, 0, 0),))
-    c0, c1, c2, c3 = np.array(rows, dtype=float).transpose(2, 1, 0)[..., None]
-    slopes = c2 * t
-    slopes += c1  # in place: one array of every step's c2 t + c1
-    for slope, d, e in zip(slopes, c3, c0):
-        pm1, pm2 = (slope * pm1 - d * pm2) / e, pm1
-    return pm1[0], 0.5 * (m + a + 1) * pm1[1]
+    j = np.arange(m, dtype=float)
+    s = 2.0 * j + a
+    diag = np.divide(-a * a, s * (s + 2.0), out=np.zeros(m), where=s > 0)
+    j, s = j[1:], s[1:]
+    return diag, np.sqrt(4.0 * j**2 * (j + a) ** 2 / (s**2 * (s + 1.0) * (s - 1.0)))
 
 
 def _alp_kernel(n: int, k: int, x):
@@ -277,10 +246,9 @@ def _alp_kernel(n: int, k: int, x):
     t = 1.0 - 2.0 * x
     prev, q = 0.0 * t, 1.0 + 0.0 * t
     total, scale = q, 0
-    shifted = t - diag.reshape((-1,) + (1,) * np.ndim(t))  # t - diag[j] for every step
-    steps = zip(shifted, [0.0] + off.tolist(), off.tolist())
-    for j, (s, b_prev, b) in enumerate(steps, start=1):
-        prev, q = q, (s * q - b_prev * prev) / b
+    steps = zip(diag.tolist(), [0.0] + off.tolist(), off.tolist())
+    for j, (d, b_prev, b) in enumerate(steps, start=1):
+        prev, q = q, ((t - d) * q - b_prev * prev) / b
         total = total + q * q
         if j % 16 == 0:
             # |q| grows by less than 3/b per step on [0, 1], so 16 steps

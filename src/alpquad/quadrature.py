@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 
 from .exactpoly import Polynomial, inner_product
 from .family import alp_coefficients
-from .jacobi import _alp_kernel, _jacobi_matrix, _jacobi_pair
+from .jacobi import _alp_kernel, _jacobi_matrix, jacobi_derivative_eval, jacobi_eval
 
 __all__ = [
     "RootFindingError",
@@ -76,10 +76,7 @@ def nodes(n: int, k: int) -> tuple[float, ...]:
     nodes are the Gauss-Jacobi nodes for the weight x^{2k-1} on [0, 1].
     They are found as the eigenvalues of the symmetric tridiagonal Jacobi
     matrix (Golub-Welsch), mapped from t to x = (1-t)/2, and polished by
-    one Newton step. The step's P_m and P_m' at every node come from one
-    fused pass of the Jacobi recurrence, the two polynomials as the rows of
-    one array (``jacobi._jacobi_pair``), equal bit for bit to
-    ``jacobi_eval`` and ``jacobi_derivative_eval``. Raises RootFindingError
+    one Newton step on the Jacobi recurrence. Raises RootFindingError
     rather than ever returning a node set that fails its checks.
     """
     import numpy as np
@@ -87,14 +84,11 @@ def nodes(n: int, k: int) -> tuple[float, ...]:
     _check_rule_index(n, k)
     m, a = n - k + 1, 2 * k - 1
     diag, off = _jacobi_matrix(m, a)
-    matrix = np.zeros((m, m))
-    matrix.flat[:: m + 1] = diag
-    matrix.flat[1 :: m + 1] = off
-    matrix.flat[m :: m + 1] = off
-    x = np.sort((1.0 - np.linalg.eigvalsh(matrix)) / 2.0)
+    t = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    x = np.sort((1.0 - t) / 2.0)
+    t = 1.0 - 2.0 * x
     # Newton on q(x) = P_m(1-2x): q'(x) = -2 P_m'(t)
-    p, dp = _jacobi_pair(m, a, 1.0 - 2.0 * x)
-    step = p / (2.0 * dp)
+    step = jacobi_eval(m, a, 0, t) / (2.0 * jacobi_derivative_eval(m, a, 0, t))
     x = x + step
     worst = float(np.max(np.abs(step)))
     if not worst <= _MAX_CORRECTION:

@@ -5,11 +5,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from alpquad import Polynomial, nodes
+from alpquad import Polynomial
 from alpquad import jacobi
 from alpquad.jacobi import (
     _jacobi_matrix,
-    _jacobi_pair,
     binomial_general,
     jacobi_derivative_eval,
     jacobi_eval,
@@ -153,21 +152,6 @@ def test_jacobi_matrix_legendre_case_is_finite():
         assert np.array_equal(_jacobi_matrix(12, a)[0], -a * a / (s * (s + 2.0)))
 
 
-def test_fused_pair_equals_separate_evaluations():
-    # the Newton pass of the nodes: both rows bit for bit as jacobi_eval and
-    # jacobi_derivative_eval give them, at the rule's own nodes and beyond
-    rng = np.random.default_rng(17)
-    cases = [(m, a) for m in range(1, 41) for a in sorted({0, 1, 2 * m - 1})]
-    points = [np.concatenate(([-1.0, 0.0, 1.0], 2.0 * rng.random(m) - 1.0)) for m, _ in cases]
-    # P^{(799,0)}_400 overflows near t = 1; the nodes of its rule (799, 400) stay in range
-    cases.append((400, 799))
-    points.append(1.0 - 2.0 * np.array(nodes(799, 400)))
-    for (m, a), t in zip(cases, points):
-        p, dp = _jacobi_pair(m, a, t)
-        assert np.array_equal(p, jacobi_eval(m, a, 0, t)), (m, a)
-        assert np.array_equal(dp, jacobi_derivative_eval(m, a, 0, t)), (m, a)
-
-
 def _stepwise_eval(m, alpha, beta, t):
     """jacobi_eval as it was before the factors were cached: every factor formed at its step."""
     pm2 = 1.0 + 0.0 * t
@@ -185,10 +169,10 @@ def _stepwise_eval(m, alpha, beta, t):
 
 @pytest.mark.parametrize("alpha,beta", [(3, 0), (8, 1), (2.5, 0.5), (-0.5, 1.5)])
 def test_eval_does_not_depend_on_the_cached_factors(alpha, beta):
-    # a table is cached per (alpha, beta) and length class and sliced per
-    # degree: cold, after a longer or a shorter degree and after clearing
-    # the cache, every value keeps the bits of the stepwise formula, scalar
-    # and array; 65 and 66 sit on either side of a table length
+    # one list of factors is cached per (alpha, beta), extended on a miss and
+    # read by its prefix: cold, after a longer or a shorter degree and after
+    # clearing the cache, every value keeps the bits of the stepwise formula,
+    # scalar and array; 1025 and 1026 sit on either side of the cached length
     ts = np.linspace(-1.0, 1.0, 9)
 
     def check(m):
@@ -198,13 +182,30 @@ def test_eval_does_not_depend_on_the_cached_factors(alpha, beta):
             repr(_stepwise_eval(m, alpha, beta, float(t))) for t in ts
         ], m
 
-    for m in (2, 30, 65, 66, 200, 1000):
+    for m in (1, 2, 30, 200, 1025, 1026):
         jacobi._factor_table.cache_clear()
         check(m)
-    for m in (30, 2, 65, 30, 1000, 66, 200, 65, 2, 200):
+    for m in (30, 2, 1025, 30, 1026, 200, 1, 200, 2, 1026):
         check(m)
-    # integer parameters keep integer factors: 3 and 3.0 are two tables
+    # integer parameters keep integer factors: 3 and 3.0 are two lists
     if isinstance(alpha, int):
         assert jacobi._recurrence_factors(5, alpha, beta)[0] == jacobi._recurrence_factors(5, float(alpha), beta)[0]
         assert type(jacobi._recurrence_factors(5, alpha, beta)[0][0]) is int
         assert type(jacobi._recurrence_factors(5, float(alpha), beta)[0][0]) is float
+
+
+def test_factor_cache_holds_only_the_steps_asked_for():
+    # a miss computes exactly the steps the list lacks, and a degree past
+    # the cached length computes its factors without keeping them
+    jacobi._factor_table.cache_clear()
+    jacobi_eval(3, 4, 0, 0.5)
+    assert len(jacobi._factor_table(4, 0)) == 2
+    jacobi_eval(40, 4, 0, 0.5)
+    jacobi_eval(10, 4, 0, 0.5)
+    assert len(jacobi._factor_table(4, 0)) == 39
+    jacobi_eval(1025, 4, 0, 0.5)
+    assert len(jacobi._factor_table(4, 0)) == 1024
+    jacobi._factor_table.cache_clear()
+    jacobi_eval(5000, 5, 0, 0.5)
+    jacobi_derivative_eval(5000, 5, 0, 0.5)
+    assert jacobi._factor_table.cache_info().currsize == 0

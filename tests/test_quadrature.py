@@ -24,6 +24,7 @@ from alpquad import (
     exactness_report,
     expand_in_alp,
     integrate,
+    jacobi_eval,
     jacobi_shifted_coefficients,
     nodes,
     rule_to_csv,
@@ -31,7 +32,6 @@ from alpquad import (
     weights,
 )
 from alpquad import quadrature
-from alpquad.jacobi import _jacobi_pair
 
 # frozen 60-digit references (nodes ascending, weights in node order)
 GOLDEN_RULES = {
@@ -121,18 +121,17 @@ def test_node_validation():
 def test_nodes_reject_large_newton_correction(monkeypatch):
     # a residual of 1 at every eigenvalue asks for a Newton step far above
     # the bound, as a wrong matrix entry would
-    def shifted(m, a, t):
-        p, dp = _jacobi_pair(m, a, t)
-        return p + 1.0, dp
+    def shifted(m, alpha, beta, t):
+        return jacobi_eval(m, alpha, beta, t) + 1.0
 
-    monkeypatch.setattr(quadrature, "_jacobi_pair", shifted)
+    monkeypatch.setattr(quadrature, "jacobi_eval", shifted)
     with pytest.raises(RootFindingError):
         nodes(5, 2)
 
 
 def test_rule_stream_is_pinned():
     # every rule with n <= 30, as rule_to_json writes it; taken before the
-    # recurrence factors were cached and the Newton pass was fused
+    # recurrence factors were cached
     stream = "".join(rule_to_json(build_rule(n, k)) + "\n" for n in range(1, 31) for k in range(1, n + 1))
     digest = hashlib.sha256(stream.encode()).hexdigest()
     assert digest == "9d2faf6339ee08015d486c7571820b9432a829d6fe09c57bf3c0d0f0cfb4d457"
