@@ -256,10 +256,12 @@ class AlpFamily:
 
         The sum is the reproducing kernel of the members kmin..n, computed
         by the Jacobi-kernel recurrence that ``quadrature.weights`` inverts
-        (n-kmin steps; no member is evaluated), so 1 / weight_denominator
-        is the rule's weight bit for bit. Any finite x is accepted; a
-        non-finite one raises ValueError. This loads numpy, and a scalar x
-        gives an ``np.float64``.
+        (n-kmin steps; no member is evaluated), so at array x
+        1 / weight_denominator is the rule's weight bit for bit. A scalar x
+        can differ in the last bit, since numpy takes its x^{2k} from libm's
+        pow rather than the SIMD pow it uses on arrays. Any finite x is
+        accepted; a non-finite one raises ValueError. This loads numpy, and
+        a scalar x gives an ``np.float64``.
         """
         import numpy as np
 

@@ -22,10 +22,14 @@ quadrature weight and of ``AlpFamily.weight_denominator``.
 
 The recurrence factors of each (alpha, beta) depend only on the step
 index, so each is computed once, in a list cached per (alpha, beta) that
-serves every degree by its prefix (``_recurrence_factors``). The cache
-holds at most 128 lists of at most 1024 steps, below 28 MB; the sweeps to
-n = 40 measure +0.1 to +0.4 MB of peak memory. Every value stays bit for
-bit what the step-by-step formulas give, and no value is cached.
+serves every degree by its prefix (``_recurrence_factors``). The factors
+are stored as floats, equal to the exact step factors (integers below 2^53
+for integer parameters), which is what every use converted them to
+anyway. The cache holds at most 128 lists of at most 1024 steps, below
+28 MB; the sweeps to n = 40 measure +0.1 to +0.4 MB of peak memory. Every
+value stays bit for bit what the step-by-step formulas give, and no value
+is cached. The one recurrence loop is ``_jacobi_pair``, which returns
+P_m and P_{m-1} together.
 """
 
 from __future__ import annotations
@@ -131,8 +135,9 @@ def _finite_points(x):
 
 
 # The factors of a step depend only on (j, alpha, beta). One list per (alpha, beta), typed so
-# that integer parameters keep integer factors, holds the steps j = 2, 3, ... of the longest
-# degree asked for so far, up to _CACHED_STEPS; longer degrees compute theirs at each call.
+# that integer parameters keep their exactly computed factors, holds the steps j = 2, 3, ...
+# of the longest degree asked for so far, up to _CACHED_STEPS; longer degrees compute theirs
+# at each call.
 # A step of (2001, 0) takes 0.21 KB (tracemalloc), so 128 lists of 1024 such steps stay
 # below 28 MB, whatever degree is asked for.
 _CACHED_STEPS = 1024
@@ -149,13 +154,16 @@ def _step_factors(alpha, beta, first: int, last: int):
     """Yield the factors (c0, c1, c2, c3) of the recurrence steps j = first..last of P^{(alpha,beta)}.
 
     The step from P_{j-1}, P_{j-2} to P_j is P_j = ((c2 t + c1) P_{j-1} - c3 P_{j-2}) / c0.
+    Integer parameters give integer factors, yielded as floats: exact below 2^53 (2j+alpha+beta
+    up to about 2e5), they are the operands every use converted the integers to, so every
+    result keeps its bits, and numpy takes a float scalar faster than an int.
     """
     for j in range(first, last + 1):
         c0 = 2 * j * (j + alpha + beta) * (2 * j + alpha + beta - 2)
         c1 = (2 * j + alpha + beta - 1) * (alpha * alpha - beta * beta)
         c2 = (2 * j + alpha + beta - 1) * (2 * j + alpha + beta) * (2 * j + alpha + beta - 2)
         c3 = 2 * (j + alpha - 1) * (j + beta - 1) * (2 * j + alpha + beta)
-        yield c0, c1, c2, c3
+        yield float(c0), float(c1), float(c2), float(c3)
 
 
 def _recurrence_factors(m: int, alpha, beta):
@@ -174,6 +182,21 @@ def _recurrence_factors(m: int, alpha, beta):
     return table[: m - 1]
 
 
+def _jacobi_pair(m: int, alpha, beta, t):
+    """(P_m, P_{m-1}) of P^{(alpha,beta)} at finite points t, m >= 0; (1, 0) at m = 0.
+
+    The one loop of the three-term recurrence, which gives P_{m-1} on the way
+    to P_m.
+    """
+    pm2 = 1.0 + 0.0 * t  # broadcast against array inputs
+    if m == 0:
+        return pm2, 0.0 * t
+    pm1 = (alpha + 1) + (alpha + beta + 2) * (t - 1) / 2
+    for c0, c1, c2, c3 in _recurrence_factors(m, alpha, beta):
+        pm1, pm2 = ((c2 * t + c1) * pm1 - c3 * pm2) / c0, pm1
+    return pm1, pm2
+
+
 def jacobi_eval(m: int, alpha: float, beta: float, t):
     """P_m^{(alpha,beta)}(t) by the standard three-term recurrence.
 
@@ -182,21 +205,15 @@ def jacobi_eval(m: int, alpha: float, beta: float, t):
     recurrence on the dominant solution; relative error stays near machine
     precision for the integer parameter ranges the quadrature tests
     certify (alpha up to 799, m up to 400). The step factors of each
-    (alpha, beta) are computed once and cached for m <= 1025: at most 128
-    lists, below 28 MB whatever m is asked for, and +0.1 to +0.4 MB of
-    peak memory on the benchmark's sweeps to n = 40. The values are those
-    of the step-by-step formula bit for bit.
+    (alpha, beta) are computed once and cached for m <= 1025 as floats
+    equal to the exact step factors: at most 128 lists, below 28 MB
+    whatever m is asked for, and +0.1 to +0.4 MB of peak memory on the
+    benchmark's sweeps to n = 40. The values are those of the
+    step-by-step formula bit for bit.
     """
     if m < 0:
         raise ValueError(f"degree must be nonnegative, got {m}")
-    t = _finite_points(t)
-    pm2 = 1.0 + 0.0 * t  # broadcast against array inputs
-    if m == 0:
-        return pm2
-    pm1 = (alpha + 1) + (alpha + beta + 2) * (t - 1) / 2
-    for c0, c1, c2, c3 in _recurrence_factors(m, alpha, beta):
-        pm1, pm2 = ((c2 * t + c1) * pm1 - c3 * pm2) / c0, pm1
-    return pm1
+    return _jacobi_pair(m, alpha, beta, _finite_points(t))[0]
 
 
 def jacobi_derivative_eval(m: int, alpha: float, beta: float, t):

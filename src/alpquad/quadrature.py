@@ -10,7 +10,7 @@ P^{(2k-1,0)}_{n-k+1}(1-2x), so the rule is the (n-k+1)-point Gauss-Jacobi
 rule for the weight x^{2k-1} on [0, 1]; that is why the window starts at
 2k-1. Nodes are the eigenvalues of the closed-form tridiagonal Jacobi
 matrix (Golub & Welsch, Math. Comp. 23, 1969), polished by one Newton step
-on the Jacobi three-term recurrence.
+from a single pass of the Jacobi three-term recurrence.
 
 The weight denominator is the reproducing kernel of span{P_nl : k <= l <= n}
 = x^k times the polynomials of degree <= n-k, so it is also x^{2k} times the
@@ -18,7 +18,8 @@ kernel of the orthonormal Jacobi polynomials for (1-t)^{2k}, t = 1-2x
 (Gautschi, Orthogonal Polynomials, 2004, sections 1.3 and 3.1). The Jacobi
 matrices and that kernel live in ``alpquad.jacobi``; this module only
 validates, inverts and assembles, and ``AlpFamily.weight_denominator``
-calls the same kernel, so a weight is exactly 1 / weight_denominator.
+calls the same kernel, so a weight is exactly 1 / weight_denominator at
+the array of nodes.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Callable, Sequence
 
 from .exactpoly import Polynomial, inner_product
 from .family import alp_coefficients
-from .jacobi import _alp_kernel, _jacobi_matrix, jacobi_derivative_eval, jacobi_eval
+from .jacobi import _alp_kernel, _jacobi_matrix, _jacobi_pair
 
 __all__ = [
     "RootFindingError",
@@ -76,8 +77,15 @@ def nodes(n: int, k: int) -> tuple[float, ...]:
     nodes are the Gauss-Jacobi nodes for the weight x^{2k-1} on [0, 1].
     They are found as the eigenvalues of the symmetric tridiagonal Jacobi
     matrix (Golub-Welsch), mapped from t to x = (1-t)/2, and polished by
-    one Newton step on the Jacobi recurrence. Raises RootFindingError
-    rather than ever returning a node set that fails its checks.
+    one Newton step on the Jacobi recurrence. One pass of the recurrence
+    gives P_m and P_{m-1}, and the derivative comes from the identity
+    (2m+a)(1-t^2) P_m' = m(a - (2m+a)t) P_m + 2m(m+a) P_{m-1} (Szego,
+    Orthogonal Polynomials, section 4.5). At a node P_m is nearly 0, so the
+    P_{m-1} term dominates and nothing cancels, and 1 - t is exact;
+    ``alp_derivative_eval`` keeps the shifted-parameter derivative, since
+    the identity would divide by x(1-x) at its endpoints. Raises
+    RootFindingError rather than ever returning a node set that fails its
+    checks.
     """
     import numpy as np
 
@@ -87,8 +95,11 @@ def nodes(n: int, k: int) -> tuple[float, ...]:
     t = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
     x = np.sort((1.0 - t) / 2.0)
     t = 1.0 - 2.0 * x
-    # Newton on q(x) = P_m(1-2x): q'(x) = -2 P_m'(t)
-    step = jacobi_eval(m, a, 0, t) / (2.0 * jacobi_derivative_eval(m, a, 0, t))
+    # Newton on q(x) = P_m(1-2x): q'(x) = -2 P_m'(t), so the step is
+    # P_m / (2 P_m') with P_m' from the identity above
+    p, q = _jacobi_pair(m, a, 0, t)
+    s = 2.0 * m + a
+    step = p * (s * (1.0 - t) * (1.0 + t)) / (2.0 * (m * (a - s * t) * p + 2.0 * m * (m + a) * q))
     x = x + step
     worst = float(np.max(np.abs(step)))
     if not worst <= _MAX_CORRECTION:

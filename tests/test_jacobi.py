@@ -187,11 +187,35 @@ def test_eval_does_not_depend_on_the_cached_factors(alpha, beta):
         check(m)
     for m in (30, 2, 1025, 30, 1026, 200, 1, 200, 2, 1026):
         check(m)
-    # integer parameters keep integer factors: 3 and 3.0 are two lists
+    # every cached factor is a float; for integer parameters it equals the
+    # exact integer of the step formula, so 3 and 3.0 give equal lists
+    factors = jacobi._recurrence_factors(30, alpha, beta)
+    assert all(type(c) is float for step in factors for c in step)
     if isinstance(alpha, int):
-        assert jacobi._recurrence_factors(5, alpha, beta)[0] == jacobi._recurrence_factors(5, float(alpha), beta)[0]
-        assert type(jacobi._recurrence_factors(5, alpha, beta)[0][0]) is int
-        assert type(jacobi._recurrence_factors(5, float(alpha), beta)[0][0]) is float
+        assert factors == [
+            (
+                2 * j * (j + alpha + beta) * (2 * j + alpha + beta - 2),
+                (2 * j + alpha + beta - 1) * (alpha * alpha - beta * beta),
+                (2 * j + alpha + beta - 1) * (2 * j + alpha + beta) * (2 * j + alpha + beta - 2),
+                2 * (j + alpha - 1) * (j + beta - 1) * (2 * j + alpha + beta),
+            )
+            for j in range(2, 31)
+        ]
+        assert factors == jacobi._recurrence_factors(30, float(alpha), beta)
+
+
+@pytest.mark.parametrize("alpha,beta", [(3, 0), (8, 1), (2.5, 0.5), (-0.5, 1.5)])
+def test_pair_gives_the_previous_degree_bit_for_bit(alpha, beta):
+    # the pair's second value is P_{m-1} as jacobi_eval gives it, scalar and
+    # array, Python-int endpoints included; at m = 0 the pair is (1, 0)
+    ts = np.linspace(-1.0, 1.0, 9)
+    assert jacobi._jacobi_pair(0, alpha, beta, 0.5) == (1.0, 0.0)
+    for m in [*range(1, 41), 400]:
+        p, q = jacobi._jacobi_pair(m, alpha, beta, ts)
+        assert p.tobytes() == jacobi_eval(m, alpha, beta, ts).tobytes(), m
+        assert q.tobytes() == jacobi_eval(m - 1, alpha, beta, ts).tobytes(), m
+        for t in [*ts.tolist(), -1, 1]:
+            assert repr(jacobi._jacobi_pair(m, alpha, beta, t)[1]) == repr(jacobi_eval(m - 1, alpha, beta, t)), (m, t)
 
 
 def test_factor_cache_holds_only_the_steps_asked_for():

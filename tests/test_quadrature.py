@@ -32,6 +32,7 @@ from alpquad import (
     weights,
 )
 from alpquad import quadrature
+from alpquad.jacobi import _jacobi_matrix, _jacobi_pair, jacobi_derivative_eval
 
 # frozen 60-digit references (nodes ascending, weights in node order)
 GOLDEN_RULES = {
@@ -122,11 +123,29 @@ def test_nodes_reject_large_newton_correction(monkeypatch):
     # a residual of 1 at every eigenvalue asks for a Newton step far above
     # the bound, as a wrong matrix entry would
     def shifted(m, alpha, beta, t):
-        return jacobi_eval(m, alpha, beta, t) + 1.0
+        p, q = _jacobi_pair(m, alpha, beta, t)
+        return p + 1.0, q
 
-    monkeypatch.setattr(quadrature, "jacobi_eval", shifted)
+    monkeypatch.setattr(quadrature, "_jacobi_pair", shifted)
     with pytest.raises(RootFindingError):
         nodes(5, 2)
+
+
+def _derivative_step_nodes(n, k):
+    """nodes(n, k) with the Newton step P_m / (2 P_m') taken from jacobi_eval and jacobi_derivative_eval."""
+    m, a = n - k + 1, 2 * k - 1
+    diag, off = _jacobi_matrix(m, a)
+    t = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    x = np.sort((1.0 - t) / 2.0)
+    t = 1.0 - 2.0 * x
+    return x + jacobi_eval(m, a, 0, t) / (2.0 * jacobi_derivative_eval(m, a, 0, t))
+
+
+@pytest.mark.parametrize("n,k", [(100, 1), (100, 50), (200, 1), (200, 100), (400, 1), (400, 200), (400, 400)])
+def test_nodes_keep_the_bits_of_the_derivative_step(n, k):
+    # the step takes P_m' from P_m and P_{m-1} of one recurrence pass; the
+    # nodes keep the bits of the step through the shifted-parameter derivative
+    assert np.array(nodes(n, k)).tobytes() == _derivative_step_nodes(n, k).tobytes()
 
 
 def test_rule_stream_is_pinned():
