@@ -256,18 +256,19 @@ class AlpFamily:
 
         The sum is the reproducing kernel of the members kmin..n, computed
         by the Jacobi-kernel recurrence that ``quadrature.weights`` inverts
-        (n-kmin steps; no member is evaluated), so at array x
-        1 / weight_denominator is the rule's weight bit for bit. A scalar x
-        can differ in the last bit, since numpy takes its x^{2k} from libm's
-        pow rather than the SIMD pow it uses on arrays. Any finite x is
-        accepted; a non-finite one raises ValueError. This loads numpy, and
-        a scalar x gives an ``np.float64``.
+        (n-kmin steps; no member is evaluated), so 1 / weight_denominator
+        is the rule's weight bit for bit, at any input. A scalar x runs as
+        a one-element array, since numpy takes x^{2k} from libm's pow on a
+        scalar and from its SIMD pow on an array. Any finite x is accepted;
+        a non-finite one raises ValueError. This loads numpy, and a scalar
+        x gives an ``np.float64``.
         """
         import numpy as np
 
         _check_index(self.n, kmin)
-        v, e = _alp_kernel(self.n, kmin, _finite_points(x))
-        return np.ldexp(v, e)
+        x = _finite_points(x)
+        v, e = _alp_kernel(self.n, kmin, np.reshape(x, -1) if np.ndim(x) == 0 else x)
+        return np.ldexp(v, e).reshape(np.shape(x))[()]
 
 
 @lru_cache(maxsize=None)

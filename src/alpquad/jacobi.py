@@ -224,20 +224,22 @@ def jacobi_derivative_eval(m: int, alpha: float, beta: float, t):
 
 
 def _jacobi_matrix(m: int, a: int):
-    """Diagonal and off-diagonal (numpy arrays) of the m x m Jacobi matrix of P^{(a,0)}.
+    """Diagonal and off-diagonal (lists of floats) of the m x m Jacobi matrix of P^{(a,0)}.
 
     The polynomials p_j orthonormal for (1-t)^a on [-1, 1] satisfy
     t p_j = off[j-1] p_{j-1} + diag[j] p_j + off[j] p_{j+1}. For a = 0
     (Legendre) the diagonal is 0, which the closed form leaves as 0/0 at
-    j = 0.
+    j = 0. The closed forms run on Python floats, with no numpy call;
+    below 2^53 every product is an exact integer, so only the one
+    division and the one square root round.
     """
-    import numpy as np
-
-    j = np.arange(m, dtype=float)
-    s = 2.0 * j + a
-    diag = np.divide(-a * a, s * (s + 2.0), out=np.zeros(m), where=s > 0)
-    j, s = j[1:], s[1:]
-    return diag, np.sqrt(4.0 * j**2 * (j + a) ** 2 / (s**2 * (s + 1.0) * (s - 1.0)))
+    s = [2.0 * j + a for j in range(m)]
+    diag = [-a * a / (si * (si + 2.0)) if si > 0 else 0.0 for si in s]
+    off = [
+        math.sqrt(4.0 * (j * j) * ((j + a) * (j + a)) / (si * si * (si + 1.0) * (si - 1.0)))
+        for j, si in zip(map(float, range(1, m)), s[1:])
+    ]
+    return diag, off
 
 
 def _alp_kernel(n: int, k: int, x):
@@ -263,7 +265,7 @@ def _alp_kernel(n: int, k: int, x):
     t = 1.0 - 2.0 * x
     prev, q = 0.0 * t, 1.0 + 0.0 * t
     total, scale = q, 0
-    steps = zip(diag.tolist(), [0.0] + off.tolist(), off.tolist())
+    steps = zip(diag, [0.0] + off, off)
     for j, (d, b_prev, b) in enumerate(steps, start=1):
         prev, q = q, ((t - d) * q - b_prev * prev) / b
         total = total + q * q

@@ -18,8 +18,8 @@ kernel of the orthonormal Jacobi polynomials for (1-t)^{2k}, t = 1-2x
 (Gautschi, Orthogonal Polynomials, 2004, sections 1.3 and 3.1). The Jacobi
 matrices and that kernel live in ``alpquad.jacobi``; this module only
 validates, inverts and assembles, and ``AlpFamily.weight_denominator``
-calls the same kernel, so a weight is exactly 1 / weight_denominator at
-the array of nodes.
+calls the same kernel, so a weight is 1 / weight_denominator bit for bit,
+at any input.
 """
 
 from __future__ import annotations
@@ -76,9 +76,13 @@ def nodes(n: int, k: int) -> tuple[float, ...]:
     The deflated polynomial is P^{(2k-1,0)}_m(1-2x) with m = n-k+1, so the
     nodes are the Gauss-Jacobi nodes for the weight x^{2k-1} on [0, 1].
     They are found as the eigenvalues of the symmetric tridiagonal Jacobi
-    matrix (Golub-Welsch), mapped from t to x = (1-t)/2, and polished by
-    one Newton step on the Jacobi recurrence. One pass of the recurrence
-    gives P_m and P_{m-1}, and the derivative comes from the identity
+    matrix (Golub-Welsch), whose entries come as Python floats, exact
+    until one division and one square root; only its diagonal and
+    subdiagonal are written, since ``eigvalsh`` reads the lower triangle.
+    The eigenvalues are mapped from t to x = (1-t)/2 and polished by one
+    Newton step on the Jacobi recurrence, and the checks run on Python
+    lists. One pass of the recurrence gives P_m and P_{m-1}, and the
+    derivative comes from the identity
     (2m+a)(1-t^2) P_m' = m(a - (2m+a)t) P_m + 2m(m+a) P_{m-1} (Szego,
     Orthogonal Polynomials, section 4.5). At a node P_m is nearly 0, so the
     P_{m-1} term dominates and nothing cancels, and 1 - t is exact;
@@ -92,7 +96,12 @@ def nodes(n: int, k: int) -> tuple[float, ...]:
     _check_rule_index(n, k)
     m, a = n - k + 1, 2 * k - 1
     diag, off = _jacobi_matrix(m, a)
-    t = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    # eigvalsh reads the lower triangle only
+    mat = np.zeros((m, m))
+    flat = mat.reshape(-1)
+    flat[:: m + 1] = diag
+    flat[m :: m + 1] = off
+    t = np.linalg.eigvalsh(mat)
     x = np.sort((1.0 - t) / 2.0)
     t = 1.0 - 2.0 * x
     # Newton on q(x) = P_m(1-2x): q'(x) = -2 P_m'(t), so the step is
@@ -100,17 +109,17 @@ def nodes(n: int, k: int) -> tuple[float, ...]:
     p, q = _jacobi_pair(m, a, 0, t)
     s = 2.0 * m + a
     step = p * (s * (1.0 - t) * (1.0 + t)) / (2.0 * (m * (a - s * t) * p + 2.0 * m * (m + a) * q))
-    x = x + step
-    worst = float(np.max(np.abs(step)))
-    if not worst <= _MAX_CORRECTION:
+    xs = (x + step).tolist()
+    if not all(abs(v) <= _MAX_CORRECTION for v in step.tolist()):  # max() would let a NaN through
+        worst = float(np.max(np.abs(step)))
         raise RootFindingError(
             f"Newton correction {worst:.3e} above tolerance for n={n}, k={k}"
         )
-    if not np.all((0.0 < x) & (x < 1.0)):
+    if not all(0.0 < v < 1.0 for v in xs):
         raise RootFindingError(f"a node escaped (0,1) at n={n}, k={k}")
-    if np.any(np.diff(x) <= 0.0):
+    if not all(u < v for u, v in zip(xs, xs[1:])):
         raise RootFindingError(f"nodes not strictly increasing at n={n}, k={k}")
-    return tuple(x.tolist())
+    return tuple(xs)
 
 
 def weights(n: int, k: int, rule_nodes: Sequence[float]) -> tuple[float, ...]:
@@ -129,10 +138,9 @@ def weights(n: int, k: int, rule_nodes: Sequence[float]) -> tuple[float, ...]:
 
     _check_rule_index(n, k)
     x = np.asarray(rule_nodes, dtype=float)
-    inside = (0.0 < x) & (x < 1.0)
-    if not np.all(inside):
-        bad = rule_nodes[int(np.argmin(inside))]
-        raise ValueError(f"node {bad} outside the open interval (0,1)")
+    for i, v in enumerate(x.tolist()):
+        if not 0.0 < v < 1.0:
+            raise ValueError(f"node {rule_nodes[i]} outside the open interval (0,1)")
     v, e = _alp_kernel(n, k, x)
     return tuple(np.ldexp(1.0 / v, -e).tolist())
 

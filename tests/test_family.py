@@ -449,6 +449,19 @@ def test_weight_denominator_inverts_to_rule_weights():
             assert (1.0 / dens).tolist() == list(rule.weights), (n, k)
 
 
+def test_scalar_weight_denominator_inverts_to_rule_weights():
+    # a scalar runs as a one-element array, so it takes numpy's array pow
+    # and misses none of the 4,960 weights with n <= 30, as an array does
+    for n in range(1, 31):
+        fam = family(n)
+        for k in range(1, n + 1):
+            rule = build_rule(n, k)
+            for x, w in zip(rule.nodes, rule.weights):
+                for point in (x, np.float64(x), np.array(x)):
+                    den = fam.weight_denominator(k, point)
+                    assert type(den) is np.float64 and 1.0 / den == w, (n, k, x)
+
+
 def _exact_at(coeffs, x: float) -> Fraction:
     # the exact polynomial value at a float x, Horner on integers scaled by
     # powers of x's denominator, and one Fraction at the end

@@ -143,13 +143,33 @@ def test_jacobi_matrix_legendre_case_is_finite():
     # a = 0 is the Legendre matrix the kernel needs for kmin = 0: the
     # closed-form diagonal -a^2 / (s (s+2)) is 0/0 at j = 0 there
     diag, off = _jacobi_matrix(12, 0)
-    assert np.all(diag == 0.0)
+    assert all(d == 0.0 for d in diag)
     for j in range(1, 12):
         assert off[j - 1] == pytest.approx(j / np.sqrt(4.0 * j * j - 1.0), rel=1e-15)
     # for a >= 1 the diagonal keeps the closed form's bits
     for a in (1, 2, 7, 80):
         s = 2.0 * np.arange(12, dtype=float) + a
         assert np.array_equal(_jacobi_matrix(12, a)[0], -a * a / (s * (s + 2.0)))
+
+
+def _numpy_jacobi_matrix(m, a):
+    """The Jacobi matrix as numpy array expressions: the reference for the lists of _jacobi_matrix."""
+    j = np.arange(m, dtype=float)
+    s = 2.0 * j + a
+    diag = np.divide(-a * a, s * (s + 2.0), out=np.zeros(m), where=s > 0)
+    j, s = j[1:], s[1:]
+    return diag, np.sqrt(4.0 * j**2 * (j + a) ** 2 / (s**2 * (s + 1.0) * (s - 1.0)))
+
+
+def test_jacobi_matrix_keeps_the_bits_of_the_array_form():
+    # the lists are built on Python floats in numpy's order of operations
+    grid = [(m, a) for m in range(1, 45) for a in range(82)]
+    grid += [(m, a) for m in (100, 401, 1025) for a in (199, 399, 799, 800, 2001)]
+    for m, a in grid:
+        diag, off = _jacobi_matrix(m, a)
+        want_diag, want_off = _numpy_jacobi_matrix(m, a)
+        assert np.array(diag, dtype=float).tobytes() == want_diag.tobytes(), (m, a)
+        assert np.array(off, dtype=float).tobytes() == want_off.tobytes(), (m, a)
 
 
 def _stepwise_eval(m, alpha, beta, t):

@@ -131,6 +131,39 @@ def test_nodes_reject_large_newton_correction(monkeypatch):
         nodes(5, 2)
 
 
+def _zero_step_pair(m, alpha, beta, t):
+    # P_m = 0 at every eigenvalue makes the Newton step exactly 0
+    return 0.0 * t, 1.0 + 0.0 * t
+
+
+def test_nodes_reject_an_escaped_eigenvalue(monkeypatch):
+    # an eigenvalue t above 1 maps to x below 0
+    monkeypatch.setattr(quadrature, "_jacobi_pair", _zero_step_pair)
+    monkeypatch.setattr(quadrature, "_jacobi_matrix", lambda m, a: ([0.0, 1.5], [0.0]))
+    with pytest.raises(RootFindingError, match="escaped"):
+        nodes(2, 1)
+
+
+def test_nodes_reject_a_repeated_eigenvalue(monkeypatch):
+    monkeypatch.setattr(quadrature, "_jacobi_pair", _zero_step_pair)
+    monkeypatch.setattr(quadrature, "_jacobi_matrix", lambda m, a: ([0.25, 0.25], [0.0]))
+    with pytest.raises(RootFindingError, match="not strictly increasing"):
+        nodes(2, 1)
+
+
+def test_nodes_reject_a_nan_newton_correction(monkeypatch):
+    # the NaN sits at the last node, where a max() over the steps would
+    # pass it over and leave it to the range check
+    def nan_last(m, alpha, beta, t):
+        p, q = _zero_step_pair(m, alpha, beta, t)
+        p[-1] = math.nan
+        return p, q
+
+    monkeypatch.setattr(quadrature, "_jacobi_pair", nan_last)
+    with pytest.raises(RootFindingError, match="Newton correction nan"):
+        nodes(5, 2)
+
+
 def _derivative_step_nodes(n, k):
     """nodes(n, k) with the Newton step P_m / (2 P_m') taken from jacobi_eval and jacobi_derivative_eval."""
     m, a = n - k + 1, 2 * k - 1
@@ -156,6 +189,15 @@ def test_rule_stream_is_pinned():
     assert digest == "9d2faf6339ee08015d486c7571820b9432a829d6fe09c57bf3c0d0f0cfb4d457"
 
 
+def test_large_rules_are_pinned():
+    # the n <= 30 stream above rescales the weight kernel (every 16 steps)
+    # at most once; these rules take it through up to 25 rescalings
+    cases = [(100, 1), (100, 50), (200, 1), (200, 100), (400, 1), (400, 200), (400, 400)]
+    stream = "".join(rule_to_json(build_rule(n, k)) + "\n" for n, k in cases)
+    digest = hashlib.sha256(stream.encode()).hexdigest()
+    assert digest == "53f1b05e592404b55814c673e3d10f87eb6886751ff6f26dd880044126f91a94"
+
+
 def test_weights_known_values():
     assert weights(1, 1, [2.0 / 3.0]) == pytest.approx([0.75], abs=1e-15)
     # single-term closed form at k = n: w = 1/((2n+1) x^(2n)) at x = 2n/(2n+1)
@@ -178,6 +220,12 @@ def test_weights_reject_outside_nodes():
         weights(2, 1, [math.inf])
     with pytest.raises(ValueError, match="node -inf outside"):
         weights(2, 1, [0.5, -math.inf, 2.0])
+    for kind in (list, tuple, np.array):
+        for bad in (math.nan, math.inf, -math.inf, 0.0, 1.0):
+            with pytest.raises(ValueError, match=f"node {bad} outside"):
+                weights(3, 1, kind([0.25, bad, 0.5, 2.0]))
+    with pytest.raises(ValueError):
+        weights(2, 1, [0.5, "half"])
 
 
 def test_build_rule_rejects_nonfinite_weight(monkeypatch):
