@@ -72,7 +72,10 @@ def _check_variant(variant: str) -> None:
         raise ValueError(f"variant must be {CORRECTED!r} or {PUBLISHED!r}, got {variant!r}")
 
 
-@lru_cache(maxsize=None)
+_COEFFICIENT_CACHE_SIZE = 1024  # verify --max-n 30 reads 496 members
+
+
+@lru_cache(maxsize=_COEFFICIENT_CACHE_SIZE)
 def alp_coefficients(n: int, k: int) -> Polynomial:
     """Exact coefficients of P_nk from the explicit binomial sum.
 
@@ -203,7 +206,7 @@ def recurrence_coefficients(n: int, k: int) -> RecurrenceCoefficients:
 
 
 class AlpFamily:
-    """All members of the order-n family, exact and float forms, built once.
+    """The order-n family in float evaluation form, built lazily.
 
     Immutable after construction, so instances are safe to share across
     threads. P_nk = x^k D_nk(x) with D_nk of degree n-k, and each member is
@@ -212,9 +215,16 @@ class AlpFamily:
     converted coefficients while those are exactly representable in double
     (max |coeff| <= 2^53), and otherwise by the numerically stable Jacobi
     recurrence, D_nk(x) = P^{(2k+1,0)}_{n-k}(1-2x), since rounded monomial
-    coefficients lose all significance there. The switch is per member:
-    (23, 0) is the first to exceed 2^53, while Horner still serves 14 of
-    the 31 members at n = 30 and 12 of the 41 at n = 40 (the high k).
+    coefficients lose all significance there.
+
+    Float-exactness is monotone in k, so the switch is one index: ``kstar``
+    is the least k served by Horner. It is 0 up to n = 22 ((23, 0) is the
+    first member to exceed 2^53), 17 at n = 30, 29 at n = 40 and 394 at
+    n = 400. Construction walks down from k = n to the first member that
+    is not float-exact and keeps only the deflated floats of the members
+    k >= kstar; it builds them through the uncached body of
+    ``alp_coefficients``, so evaluation leaves that cache as it is.
+    ``polynomial`` and ``float_coefficients`` read ``alp_coefficients``.
 
     x^k comes from ``comp_power``, binary powering in doubled precision
     with IEEE products and sums alone, which round the same way for a
@@ -223,30 +233,34 @@ class AlpFamily:
     add up to about k ulps there: 1.7e-15 at (40, 40) just below x = 1.
     """
 
-    __slots__ = ("n", "_deflated", "_float_exact")
+    __slots__ = ("n", "kstar", "_deflated")
 
     def __init__(self, n: int):
         if n < 0:
             raise ValueError(f"family order must be nonnegative, got {n}")
         self.n = n
-        polys = [alp_coefficients(n, k) for k in range(n + 1)]
-        self._deflated = tuple(p.float_coeffs()[k:] for k, p in enumerate(polys))
-        self._float_exact = tuple(all(abs(c) <= _MAX_EXACT_FLOAT for c in p.coeffs) for p in polys)
+        deflated = []
+        for k in range(n, -1, -1):
+            p = alp_coefficients.__wrapped__(n, k)
+            if any(abs(c) > _MAX_EXACT_FLOAT for c in p.coeffs):
+                break
+            deflated.append(p.float_coeffs()[k:])
+        self.kstar = n + 1 - len(deflated)
+        self._deflated = tuple(reversed(deflated))
 
     def polynomial(self, k: int) -> Polynomial:
         return alp_coefficients(self.n, k)
 
     def float_coefficients(self, k: int) -> tuple[float, ...]:
-        _check_index(self.n, k)
-        return (0.0,) * k + self._deflated[k]
+        return alp_coefficients(self.n, k).float_coeffs()
 
     def eval(self, k: int, x):
         """P_nk(x) for scalar or ndarray x; numpy input narrower than double
         is evaluated in double, and a non-finite x raises ValueError."""
         _check_index(self.n, k)
         x = _finite_points(x)
-        if self._float_exact[k]:
-            deflated = comp_horner(self._deflated[k], x)
+        if k >= self.kstar:
+            deflated = comp_horner(self._deflated[k - self.kstar], x)
         else:
             deflated = jacobi_eval(self.n - k, 2 * k + 1, 0, 1.0 - 2.0 * x)
         return comp_power(x, k) * deflated
@@ -271,7 +285,7 @@ class AlpFamily:
         return np.ldexp(v, e).reshape(np.shape(x))[()]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None)  # a family holds at most 23 float tuples (n = 22), about 5 KB
 def family(n: int) -> AlpFamily:
     """Cached family constructor; cache reads are safe across threads."""
     return AlpFamily(n)

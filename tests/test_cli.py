@@ -328,6 +328,23 @@ def test_env_raises_evaluation_guard(capsys, monkeypatch):
     assert run_cli(capsys, "eval", "--n", "33", "--k", "33", "--x", "0.5")[0] == 2
 
 
+def test_eval_bytes_at_order_400_are_pinned(capsys, monkeypatch):
+    # a Jacobi-form member far above the default guard
+    monkeypatch.setenv("ALP_MAX_N", "400")
+    assert run_cli(capsys, "eval", "--n", "400", "--k", "1", "--x", "0.3") == (0, "0.057666038793072291\n", "")
+
+
+def test_verify_at_the_cap_is_served_from_the_bounded_coefficient_cache(capsys):
+    # verify --max-n 30 reads the 496 members with n <= 30; all of them
+    # stay in the cache, so a second run misses none
+    info = alpquad.alp_coefficients.cache_info
+    assert info().maxsize == 1024
+    assert run_cli(capsys, "verify", "--max-n", "30", "--format", "json")[0] == 0
+    misses = info().misses
+    assert run_cli(capsys, "verify", "--max-n", "30", "--format", "json")[0] == 0
+    assert info().misses == misses
+
+
 def test_env_max_n_must_be_an_integer(capsys, monkeypatch):
     monkeypatch.setenv("ALP_MAX_N", "thirty")
     code, out, err = run_cli(capsys, "eval", "--n", "3", "--k", "1", "--x", "0.5")

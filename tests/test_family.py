@@ -6,6 +6,8 @@ the defining requirements (orthogonality in decreasing power order, norm
 implementation paths it checks.
 """
 
+import hashlib
+import tracemalloc
 from fractions import Fraction
 from math import comb, factorial, isqrt, prod
 
@@ -394,6 +396,24 @@ def test_scalar_equals_array_element_for_every_member():
                 assert alp_eval(n, k, x).hex() == v.hex(), (n, k, x)
 
 
+def test_alp_eval_values_are_pinned():
+    # every member with n <= 40, and members of order 100, 200 and 400 on
+    # both sides of the Horner/Jacobi switch, as an array and point by
+    # point, on a seeded grid with 0, 1 and points near both ends. Both
+    # paths use IEEE +, -, * and / alone, so the digest holds on any machine
+    near_ends = [5e-324, 1e-300, 1e-16, 1e-8, 1.0 - 1e-8, 1.0 - 1e-15, 1.0 - 1.1e-16]
+    xs = np.concatenate((_grid_with_ends(2201, 33), near_ends))
+    points = xs.tolist()
+    members = [(n, k) for n in range(41) for k in range(n + 1)]
+    for n, kstar in ((100, 92), (200, 194), (400, 394)):
+        members += [(n, k) for k in (0, 1, n // 2, kstar - 1, kstar, n)]
+    digest = hashlib.sha256()
+    for n, k in members:
+        digest.update(" ".join(v.hex() for v in alp_eval(n, k, xs).tolist()).encode())
+        digest.update(" ".join(alp_eval(n, k, x).hex() for x in points).encode())
+    assert digest.hexdigest() == "b262603df250d4f5bf23a27c5ffdc404272fdcf5dffc52ffd5d85946efd05667"
+
+
 def test_aux_and_derivative_scalar_equal_array_element():
     # x^n and x^(k-1) come from comp_power, as in alp_eval, so a float and
     # the same point inside an array give the same bits
@@ -484,10 +504,7 @@ def test_array_path_accuracy_on_float_exact_members():
     dense = np.concatenate((grid, 0.99 + 0.01 * np.random.default_rng(1205).random(128)))
     worst = 0.0
     for n in range(41):
-        fam = family(n)
-        for k in range(n + 1):
-            if not fam._float_exact[k]:
-                continue
+        for k in range(family(n).kstar, n + 1):
             xs = dense if k >= 30 else grid
             coeffs = alp_coefficients(n, k).coeffs
             assert _exact_at(coeffs, xs[1]) == alp_eval_exact(n, k, xs[1])
@@ -524,6 +541,39 @@ def test_family_cache_and_large_n_path():
         exact = alp_eval_exact(30, 0, x)
         got = alp_eval(30, 0, x)
         assert abs(Fraction(got) - exact) <= abs(exact) * Fraction(1, 10**10)
+
+
+def _float_exact(n, k):
+    # the uncached body, so the check leaves alp_coefficients' cache as it is
+    return all(abs(c) <= 2**53 for c in alp_coefficients.__wrapped__(n, k).coeffs)
+
+
+def test_float_exactness_is_monotone_in_k():
+    # AlpFamily keeps one boundary, kstar: Horner serves exactly the k >= kstar
+    for n in [*range(121), 200, 400]:
+        kstar = AlpFamily(n).kstar
+        assert [_float_exact(n, k) for k in range(n + 1)] == [k >= kstar for k in range(n + 1)], n
+    assert [AlpFamily(n).kstar for n in (22, 23, 30, 40, 100, 200, 400)] == [0, 4, 17, 29, 92, 194, 394]
+
+
+def test_family_keeps_only_its_horner_members():
+    # AlpFamily(400) holds the deflated floats of k = 394..400, degree <= 6,
+    # about 3.6 KB; the 401 exact members of order 400 take 14 MB
+    before = alp_coefficients.cache_info()
+    tracemalloc.start()
+    try:
+        fam = AlpFamily(400)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert fam.kstar == 394 and retained < 16384
+    for k in (0, 1, 393, 394, 400):
+        fam.eval(k, 0.3)
+    assert alp_coefficients.cache_info() == before
+
+
+def test_jacobi_member_at_order_400():
+    assert alp_eval(400, 1, 0.3).hex() == (0.3 * jacobi_eval(399, 3, 0, 0.4)).hex()
 
 
 def test_downward_recurrence_order_zero():
