@@ -130,11 +130,23 @@ class Polynomial:
         return tuple(float(c) for c in self._coeffs)
 
     def __call__(self, x):
-        """Horner evaluation; exact when x is a Fraction or int."""
-        acc = Fraction(0) if isinstance(x, (Fraction, int)) else 0.0
+        """Horner evaluation; exact, as a Fraction, when x is a Fraction or int.
+
+        At x = p/q the exact loop runs in integers, acc = acc p + c q^i, so
+        acc ends as q^d P(p/q) and one Fraction is built at the end; only a
+        Fraction coefficient makes a step rational. Any other x runs the
+        plain loop in float.
+        """
+        if not isinstance(x, (Fraction, int)):
+            acc = 0.0
+            for c in reversed(self._coeffs):
+                acc = acc * x + c
+            return acc
+        p, q = x.numerator, x.denominator
+        acc, scale = 0, 1
         for c in reversed(self._coeffs):
-            acc = acc * x + c
-        return acc
+            acc, scale = acc * p + c * scale, scale * q
+        return Fraction(acc, scale // q) if self._coeffs else Fraction(0)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):

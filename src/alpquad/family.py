@@ -305,7 +305,11 @@ def alp_eval(n: int, k: int, x):
 
 
 def alp_eval_exact(n: int, k: int, x) -> Fraction:
-    """P_nk(x) in exact rational arithmetic; x is coerced to Fraction."""
+    """P_nk(x) as an exact Fraction; x is converted to Fraction exactly, a float by its binary value.
+
+    The member is evaluated in integers, with one Fraction built at the end
+    (``Polynomial.__call__``).
+    """
     return alp_coefficients(n, k)(Fraction(x))
 
 
@@ -359,7 +363,12 @@ def alp_eval_recurrence(n: int, x: float) -> list[float]:
     if n < 0:
         raise ValueError(f"family order must be nonnegative, got {n}")
     x = _finite_points(x)
-    mant, exp = math.frexp(x)
+    try:
+        mant, exp = math.frexp(x)
+    except TypeError:
+        if getattr(x, "ndim", 0):
+            raise TypeError(f"alp_eval_recurrence takes one point, got an array of shape {x.shape}") from None
+        raise
     q, above, scale = 1.0, 0.0, 0  # R_k = q 2^scale, R_{k+1} = above 2^scale
     out = [math.ldexp(mant**n, n * exp)]
     for k, (bb, cb, dd, s_mant, s_exp) in zip(range(n - 1, -1, -1), _recurrence_steps(n)):

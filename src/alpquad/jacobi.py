@@ -35,6 +35,7 @@ P_m and P_{m-1} together.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 import threading
 from fractions import Fraction
@@ -115,7 +116,8 @@ def _hypergeometric_terms(prefactor: Scalar, a: int, b, c: int, m: int) -> list[
 
 def _finite_points(x):
     """x as evaluation points: Python numbers as given, numpy input in at
-    least double precision. Raises ValueError on a non-finite point.
+    least double precision. Raises ValueError on a non-finite point, and
+    TypeError on anything that is neither a number nor a numpy array.
 
     numpy is looked up, never imported: until something has imported it, x
     cannot be a numpy object, so the scalar paths run without it.
@@ -131,6 +133,9 @@ def _finite_points(x):
         x = x.astype(np.promote_types(x.dtype, np.float64), copy=False)
         if not np.isfinite(x).all():
             raise ValueError("evaluation points must all be finite")
+        return x
+    if not isinstance(x, numbers.Number):
+        raise TypeError(f"evaluation point must be a number or a numpy array, got {type(x).__name__}")
     return x
 
 

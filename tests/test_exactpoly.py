@@ -155,8 +155,20 @@ def _padded(cs, size: int) -> list:
     return [Fraction(c) for c in cs] + [Fraction(0)] * (size - len(cs))
 
 
-@given(coeff_lists, coeff_lists, exact_scalars, st.fractions(min_value=-3, max_value=3))
-def test_arithmetic_matches_fraction_reference(a, b, s, x):
+def _value_reference(cs, x) -> Fraction:
+    """sum_l c_l x^l in plain Fraction arithmetic."""
+    return sum((Fraction(c) * x**l for l, c in enumerate(cs)), Fraction(0))
+
+
+@given(
+    coeff_lists,
+    coeff_lists,
+    exact_scalars,
+    st.fractions(min_value=-3, max_value=3),
+    st.integers(-3, 3),
+    st.floats(-3, 3),
+)
+def test_arithmetic_matches_fraction_reference(a, b, s, x, i, f):
     p, q = Polynomial(a), Polynomial(b)
     size = max(len(a), len(b))
     conv = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
@@ -178,8 +190,23 @@ def test_arithmetic_matches_fraction_reference(a, b, s, x):
     integral = p.integrate01()
     assert integral == sum((Fraction(c) / (l + 1) for l, c in enumerate(a)), Fraction(0))
     assert type(integral) is Fraction
+    # exact at a Fraction or int point, the zero polynomial included
+    half = Fraction(2 * x.numerator + 1, 2 * x.denominator)  # never an integer
+    for poly, point in ((p, x), (p, i), (Polynomial(), half)):
+        value = poly(point)
+        assert value == _value_reference(poly.coeffs, point)
+        assert type(value) is Fraction
+    # a float point runs the plain float loop, bit for bit
+    acc = 0.0
+    for c in reversed(p.coeffs):
+        acc = acc * f + c
+    assert p(f).hex() == acc.hex()
+
+
+def test_evaluation_at_order_400_matches_fraction_reference():
+    p, x = alp_coefficients(400, 1), Fraction(0.3)
     value = p(x)
-    assert value == sum((Fraction(c) * x**l for l, c in enumerate(a)), Fraction(0))
+    assert value == _value_reference(p.coeffs, x)
     assert type(value) is Fraction
 
 

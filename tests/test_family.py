@@ -7,6 +7,7 @@ implementation paths it checks.
 """
 
 import hashlib
+import re
 import tracemalloc
 from fractions import Fraction
 from math import comb, factorial, isqrt, prod
@@ -35,6 +36,7 @@ from alpquad import (
     recurrence_coefficients,
 )
 from alpquad.jacobi import binomial_general, jacobi_eval, jacobi_shifted_coefficients
+from exact_kernel import exact_kernel_sums
 
 # ---------------------------------------------------------------------------
 # Gram-Schmidt oracle
@@ -352,7 +354,7 @@ def test_family_methods_evaluate_narrow_floats_in_double(dtype):
             assert fam.weight_denominator(k, x) == fam.weight_denominator(k, float(x))
     x = float(dtype(0.3))
     assert family(20).eval(3, dtype(0.3)) == pytest.approx(alp_eval_exact(20, 3, x), rel=1e-14)
-    exact_den = sum((2 * l + 1) * alp_eval_exact(20, l, x) ** 2 for l in range(3, 21))
+    exact_den = exact_kernel_sums(20, x, 3)[0]
     assert family(20).weight_denominator(3, dtype(0.3)) == pytest.approx(exact_den, rel=1e-13)
 
 
@@ -364,6 +366,31 @@ def test_family_methods_reject_nonfinite():
             fam.eval(2, bad)
         with pytest.raises(ValueError):
             fam.weight_denominator(1, bad)
+
+
+def test_non_numeric_points_raise_a_type_error_naming_them():
+    fam = family(5)
+    calls = [
+        lambda x: alp_eval(5, 2, x),
+        lambda x: aux_eval(2, 5, x),
+        lambda x: alp_derivative_eval(5, 2, x),
+        lambda x: alp_eval_recurrence(5, x),
+        lambda x: jacobi_eval(2, 0, 0, x),
+        lambda x: fam.eval(2, x),
+        lambda x: fam.weight_denominator(1, x),
+    ]
+    for call in calls:
+        for bad in ([0.5], (0.5,), "0.5"):
+            kind = type(bad).__name__
+            with pytest.raises(TypeError, match=f"^evaluation point must be a number or a numpy array, got {kind}$"):
+                call(bad)
+    for bad in (np.array([0.5]), np.zeros((2, 3))):
+        with pytest.raises(TypeError, match=re.escape(f"alp_eval_recurrence takes one point, got an array of shape {bad.shape}")):
+            alp_eval_recurrence(5, bad)
+    # other numbers keep working: a 0-d array, a Fraction, a complex point
+    assert alp_eval_recurrence(5, np.array(0.5)) == alp_eval_recurrence(5, 0.5)
+    assert jacobi_eval(2, 0, 0, Fraction(1, 2)) == -0.125
+    assert jacobi_eval(2, 0, 0, 1j) == -2
 
 
 def test_eval_array_input():
@@ -428,27 +455,13 @@ def test_aux_and_derivative_scalar_equal_array_element():
                 assert alp_derivative_eval(n, k, x).hex() == v.hex(), ("derivative", n, k, x)
 
 
-def _exact_weight_denominators(n: int, x: float) -> list[Fraction]:
-    # sum_{l=kmin}^{n} (2l+1) P_nl(x)^2 for kmin = 0..n at the exact value
-    # of x = p/q, from the integers q^n P_nl(p/q)
-    p, q = x.as_integer_ratio()
-    total, sums = 0, []
-    for l in range(n, -1, -1):
-        scaled, scale = 0, 1
-        for c in reversed(alp_coefficients(n, l).coeffs):
-            scaled, scale = scaled * p + c * scale, scale * q
-        total += (2 * l + 1) * scaled * scaled
-        sums.append(Fraction(total, q ** (2 * n)))
-    return sums[::-1]
-
-
 def test_weight_denominator_matches_exact_sum():
     # the Jacobi kernel for every kmin, Legendre (kmin = 0) included, on
     # seeded points, both ends and a point outside [0, 1]; measured worst
     # 2.3e-14 relative, at the ends
     xs = np.concatenate((_grid_with_ends(1208, 18), [1.25]))
     for n in range(41):
-        exact = [_exact_weight_denominators(n, x) for x in xs.tolist()]
+        exact = [exact_kernel_sums(n, x) for x in xs.tolist()]
         fam = family(n)
         for kmin in range(n + 1):
             for x, want, got in zip(xs.tolist(), exact, fam.weight_denominator(kmin, xs).tolist()):
@@ -482,23 +495,11 @@ def test_scalar_weight_denominator_inverts_to_rule_weights():
                     assert type(den) is np.float64 and 1.0 / den == w, (n, k, x)
 
 
-def _exact_at(coeffs, x: float) -> Fraction:
-    # the exact polynomial value at a float x, Horner on integers scaled by
-    # powers of x's denominator, and one Fraction at the end
-    p, q = x.as_integer_ratio()
-    acc, scale = 0, 1
-    for c in reversed(coeffs):
-        acc = acc * p + c * scale
-        scale *= q
-    return Fraction(acc, scale // q)
-
-
 def test_array_path_accuracy_on_float_exact_members():
     # compensated Horner on the deflated coefficients, times x^k: within
     # 1.1e-15 of the exact value, relative to max(1, |P|), near both ends
     # too. Just below 1 an uncompensated x^k would add up to ~k/2 ulps, so
-    # the high k also get a dense set there. The oracle is alp_eval_exact's
-    # value, computed in integers (checked against it at one point each)
+    # the high k also get a dense set there. The oracle is alp_eval_exact
     near_ends = [5e-324, 1e-16, 4e-16, 1e-15, 1.0 - 1e-15, 1.0 - 4e-16, 1.0 - 1.1e-16]
     grid = np.concatenate((_grid_with_ends(1202, 32), near_ends))
     dense = np.concatenate((grid, 0.99 + 0.01 * np.random.default_rng(1205).random(128)))
@@ -506,10 +507,8 @@ def test_array_path_accuracy_on_float_exact_members():
     for n in range(41):
         for k in range(family(n).kstar, n + 1):
             xs = dense if k >= 30 else grid
-            coeffs = alp_coefficients(n, k).coeffs
-            assert _exact_at(coeffs, xs[1]) == alp_eval_exact(n, k, xs[1])
             for x, v in zip(xs.tolist(), alp_eval(n, k, xs).tolist()):
-                exact = _exact_at(coeffs, x)
+                exact = alp_eval_exact(n, k, x)
                 worst = max(worst, float(abs(Fraction(v) - exact) / max(1, abs(exact))))
     assert worst <= 1.1e-15
 

@@ -5,16 +5,9 @@ from fractions import Fraction
 import numpy as np
 from hypothesis import given, strategies as st
 
-from alpquad.family import alp_coefficients
+from alpquad import Polynomial
+from alpquad.family import alp_coefficients, alp_eval_exact
 from alpquad.horner import comp_horner, comp_power, horner
-
-
-def exact_eval(coeffs, x):
-    xf = Fraction(x)
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * xf + Fraction(c)
-    return acc
 
 
 def test_empty_and_constant():
@@ -33,7 +26,7 @@ def test_compensation_beats_plain_horner_at_degree_ten():
     # P_10,0 at x = 0.94 suffers heavy cancellation: plain Horner is off by
     # ~1.5e-10 (5e-9 relative), the compensated form is exact to the ulp
     coeffs = [float(c) for c in alp_coefficients(10, 0).coeffs]
-    exact = float(exact_eval(coeffs, 0.94))
+    exact = float(alp_eval_exact(10, 0, 0.94))
     assert abs(comp_horner(coeffs, 0.94) - exact) <= 1e-15
     assert abs(horner(coeffs, 0.94) - exact) > 1e-11
 
@@ -54,7 +47,7 @@ def test_array_input():
 )
 def test_comp_horner_near_exact(int_coeffs, x):
     coeffs = [float(c) for c in int_coeffs]
-    exact = exact_eval(coeffs, x)
+    exact = Polynomial(int_coeffs)(Fraction(x))
     got = comp_horner(coeffs, x)
     err = abs(Fraction(got) - exact)
     scale = max(Fraction(1), abs(exact))

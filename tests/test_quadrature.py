@@ -33,6 +33,7 @@ from alpquad import (
 )
 from alpquad import quadrature
 from alpquad.jacobi import _jacobi_matrix, _jacobi_pair, jacobi_derivative_eval
+from exact_kernel import exact_kernel_sums
 
 # frozen 60-digit references (nodes ascending, weights in node order)
 GOLDEN_RULES = {
@@ -87,18 +88,6 @@ def test_nodes_bracket_true_roots_exactly():
                 assert deflated(lo) * deflated(hi) < 0, (n, k, x)
 
 
-def _scaled_value(coeffs: list[int], y: Fraction) -> int:
-    # q^d * P(p/q) = sum_i c_i p^i q^(d-i), all in integers
-    p, q = y.numerator, y.denominator
-    d = len(coeffs) - 1
-    return sum(c * p**i * q ** (d - i) for i, c in enumerate(coeffs))
-
-
-def _deflated_sign(coeffs: list[int], y: Fraction) -> int:
-    total = _scaled_value(coeffs, y)
-    return (total > 0) - (total < 0)
-
-
 def test_nodes_within_one_ulp_of_true_roots():
     # an exact sign change across x -+ 2^-52 puts a true root of the
     # deflated polynomial that close to every node of every rule to n = 30
@@ -106,11 +95,9 @@ def test_nodes_within_one_ulp_of_true_roots():
     for n in range(1, 31):
         for k in range(1, n + 1):
             deflated = alp_coefficients(n, k - 1).shifted(-(k - 1))
-            coeffs = [int(c) for c in deflated.coeffs]
             for x in nodes(n, k):
-                lo = _deflated_sign(coeffs, Fraction(x) - eps)
-                hi = _deflated_sign(coeffs, Fraction(x) + eps)
-                assert lo * hi < 0, (n, k, x)
+                lo, hi = Fraction(x) - eps, Fraction(x) + eps
+                assert deflated(lo) * deflated(hi) < 0, (n, k, x)
 
 
 def test_node_validation():
@@ -238,14 +225,8 @@ def test_build_rule_rejects_nonfinite_weight(monkeypatch):
 
 
 def _exact_weight(n: int, k: int, x: float) -> Fraction:
-    # 1 / sum_{l=k}^{n} (2l+1) P_nl(x)^2 at the exact rational value of x;
-    # every P_nl has degree n, so q^n P_nl(p/q) is an integer
-    y = Fraction(x)
-    total = sum(
-        (2 * l + 1) * _scaled_value(list(alp_coefficients(n, l).coeffs), y) ** 2
-        for l in range(k, n + 1)
-    )
-    return Fraction(y.denominator ** (2 * n), total)
+    # 1 / sum_{l=k}^{n} (2l+1) P_nl(x)^2 at the exact rational value of x
+    return 1 / exact_kernel_sums(n, x, k)[0]
 
 
 def _relative_error(got: float, exact: Fraction) -> float:
@@ -435,14 +416,13 @@ def test_weights_rescale_where_the_kernel_sum_overflows():
     # at (400, 200) and x = 1/16 the sum of q_i^2 passes the double range;
     # exact P_nl(x) = x^l P^{(2l+1,0)}_{n-l}(1-2x) gives the reference
     n, k, x = 400, 200, 0.0625
-    total = 0
-    for l in range(k, n + 1):
-        jac = list(jacobi_shifted_coefficients(n - l, 2 * l + 1).coeffs)
-        # 16^(n-l) J(1/16), so 16^n P_nl(1/16) is this integer
-        total += (2 * l + 1) * _scaled_value(jac, Fraction(x)) ** 2
-    exact = Fraction(16 ** (2 * n), total)
+    y = Fraction(x)
+    total = sum(
+        (2 * l + 1) * (y**l * jacobi_shifted_coefficients(n - l, 2 * l + 1)(y)) ** 2
+        for l in range(k, n + 1)
+    )
     (w,) = weights(n, k, [x])
-    assert _relative_error(w, exact) <= 1e-14
+    assert _relative_error(w, 1 / total) <= 1e-14
 
 
 def test_expand_in_alp_examples():
