@@ -58,7 +58,6 @@ def _cmd_coeffs(args) -> int:
 
 def _cmd_eval(args) -> int:
     _require_index(args, 0)
-    _require(math.isfinite(args.x), "x must be finite")
     value = alp_eval(args.n, args.k, args.x)
     if math.isnan(value):
         print(f"error: eval overflowed to nan at n={args.n}, k={args.k}, x={args.x!r}", file=sys.stderr)

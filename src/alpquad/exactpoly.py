@@ -3,13 +3,15 @@
 Coefficients and arithmetic are exact: coefficients are `int` when integral
 and `fractions.Fraction` otherwise, so equality checks and integrals are
 decisive. Floats appear in two outputs only: `Polynomial.float_coeffs()`, and
-calling a `Polynomial` at a float point, which evaluates in float.
+calling a `Polynomial` at a float point, which evaluates exactly at the
+point's binary value and rounds once.
 Polynomials are immutable and hashable.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -130,19 +132,19 @@ class Polynomial:
         return tuple(float(c) for c in self._coeffs)
 
     def __call__(self, x):
-        """Horner evaluation; exact, as a Fraction, when x is a Fraction or int.
+        """Horner evaluation, exact: a Fraction at a rational x, numpy integers
+        included; at any other real x, a float, the value at x's binary value
+        (``as_integer_ratio``) rounded once. Anything else raises TypeError.
 
-        At x = p/q the exact loop runs in integers, acc = acc p + c q^i, so
-        acc ends as q^d P(p/q) and one Fraction is built at the end; only a
-        Fraction coefficient makes a step rational. Any other x runs the
-        plain loop in float.
+        At x = p/q the loop runs in integers, acc = acc p + c q^i, so acc ends
+        as q^d P(p/q) and one Fraction is built at the end; only a Fraction
+        coefficient makes a step rational.
         """
-        if not isinstance(x, (Fraction, int)):
-            acc = 0.0
-            for c in reversed(self._coeffs):
-                acc = acc * x + c
-            return acc
-        p, q = x.numerator, x.denominator
+        if not isinstance(x, numbers.Rational):
+            if not isinstance(x, numbers.Real):
+                raise TypeError(f"polynomial point must be a real number, got {type(x).__name__}")
+            return float(self(Fraction(*x.as_integer_ratio())))
+        p, q = int(x.numerator), int(x.denominator)  # a numpy integer's own arithmetic would wrap
         acc, scale = 0, 1
         for c in reversed(self._coeffs):
             acc, scale = acc * p + c * scale, scale * q

@@ -30,8 +30,8 @@ from .jacobi import (
     _alp_kernel,
     _finite_points,
     _hypergeometric_terms,
-    jacobi_derivative_eval,
-    jacobi_eval,
+    _jacobi_derivative,
+    _jacobi_pair,
     jacobi_shifted_coefficients,
 )
 
@@ -255,14 +255,14 @@ class AlpFamily:
         return alp_coefficients(self.n, k).float_coeffs()
 
     def eval(self, k: int, x):
-        """P_nk(x) for scalar or ndarray x; numpy input narrower than double
-        is evaluated in double, and a non-finite x raises ValueError."""
+        """P_nk(x) for scalar or ndarray x, evaluated in double (see
+        ``jacobi._finite_points``); a non-finite x raises ValueError."""
         _check_index(self.n, k)
         x = _finite_points(x)
         if k >= self.kstar:
             deflated = comp_horner(self._deflated[k - self.kstar], x)
         else:
-            deflated = jacobi_eval(self.n - k, 2 * k + 1, 0, 1.0 - 2.0 * x)
+            deflated = _jacobi_pair(self.n - k, 2 * k + 1, 0, 1.0 - 2.0 * x)[0]
         return comp_power(x, k) * deflated
 
     def weight_denominator(self, kmin: int, x):
@@ -363,12 +363,9 @@ def alp_eval_recurrence(n: int, x: float) -> list[float]:
     if n < 0:
         raise ValueError(f"family order must be nonnegative, got {n}")
     x = _finite_points(x)
-    try:
-        mant, exp = math.frexp(x)
-    except TypeError:
-        if getattr(x, "ndim", 0):
-            raise TypeError(f"alp_eval_recurrence takes one point, got an array of shape {x.shape}") from None
-        raise
+    if getattr(x, "ndim", 0):
+        raise TypeError(f"alp_eval_recurrence takes one point, got an array of shape {x.shape}")
+    mant, exp = math.frexp(x)
     q, above, scale = 1.0, 0.0, 0  # R_k = q 2^scale, R_{k+1} = above 2^scale
     out = [math.ldexp(mant**n, n * exp)]
     for k, (bb, cb, dd, s_mant, s_exp) in zip(range(n - 1, -1, -1), _recurrence_steps(n)):
@@ -392,10 +389,10 @@ def alp_derivative_eval(n: int, k: int, x: float) -> float:
     _check_index(n, k)
     x = _finite_points(x)
     t = 1.0 - 2.0 * x
-    dj = jacobi_derivative_eval(n - k, 2 * k + 1, 0, t)
+    dj = _jacobi_derivative(n - k, 2 * k + 1, 0, t)
     if k == 0:
         return -2.0 * dj
-    return comp_power(x, k - 1) * (k * jacobi_eval(n - k, 2 * k + 1, 0, t) - 2.0 * x * dj)
+    return comp_power(x, k - 1) * (k * _jacobi_pair(n - k, 2 * k + 1, 0, t)[0] - 2.0 * x * dj)
 
 
 def ode_residual(n: int, k: int) -> Polynomial:
@@ -430,4 +427,4 @@ def aux_eval(n: int, k: int, x):
     """
     _check_aux_index(n, k)
     x = _finite_points(x)
-    return comp_power(x, n) * jacobi_eval(k - n, 2 * n, 0, 1.0 - 2.0 * x)
+    return comp_power(x, n) * _jacobi_pair(k - n, 2 * n, 0, 1.0 - 2.0 * x)[0]

@@ -115,27 +115,31 @@ def _hypergeometric_terms(prefactor: Scalar, a: int, b, c: int, m: int) -> list[
 
 
 def _finite_points(x):
-    """x as evaluation points: Python numbers as given, numpy input in at
-    least double precision. Raises ValueError on a non-finite point, and
-    TypeError on anything that is neither a number nor a numpy array.
+    """x as the float layer's points: a Python float, or float64 numpy input.
+
+    Python ints and floats, the common case, are tested for first and become
+    floats. numpy input is cast to float64 under numpy's "same_kind" rule,
+    which narrows long double (the Dekker splits assume a 53-bit
+    significand) and refuses complex and object dtypes with a TypeError
+    naming the dtype. Any other real number, a Fraction say, becomes a
+    float. Raises ValueError on a non-finite point, and TypeError on
+    anything that is not a real number or a numpy array.
 
     numpy is looked up, never imported: until something has imported it, x
     cannot be a numpy object, so the scalar paths run without it.
     """
-    if isinstance(x, (int, float)):
-        if not math.isfinite(x):
-            raise ValueError(f"evaluation point must be finite, got {x}")
-        return x
-    np = sys.modules.get("numpy")
-    if np is not None and isinstance(x, (np.ndarray, np.generic)):
-        # float16/float32 points would run the Dekker split (which assumes
-        # double) and every recurrence in that precision
-        x = x.astype(np.promote_types(x.dtype, np.float64), copy=False)
-        if not np.isfinite(x).all():
-            raise ValueError("evaluation points must all be finite")
-        return x
-    if not isinstance(x, numbers.Number):
-        raise TypeError(f"evaluation point must be a number or a numpy array, got {type(x).__name__}")
+    if not isinstance(x, (int, float)):
+        np = sys.modules.get("numpy")
+        if np is not None and isinstance(x, (np.ndarray, np.generic)):
+            x = x.astype(np.float64, casting="same_kind", copy=False)
+            if not np.isfinite(x).all():
+                raise ValueError("evaluation points must all be finite")
+            return x
+        if not isinstance(x, numbers.Real):
+            raise TypeError(f"evaluation point must be a real number or a numpy array, got {type(x).__name__}")
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValueError(f"evaluation point must be finite, got {x}")
     return x
 
 
@@ -205,8 +209,8 @@ def _jacobi_pair(m: int, alpha, beta, t):
 def jacobi_eval(m: int, alpha: float, beta: float, t):
     """P_m^{(alpha,beta)}(t) by the standard three-term recurrence.
 
-    Accepts scalar or ndarray t; numpy input narrower than double is
-    evaluated in double, and a non-finite t raises ValueError. Forward
+    Accepts scalar or ndarray t, evaluated in double (see
+    ``_finite_points``); a non-finite t raises ValueError. Forward
     recurrence on the dominant solution; relative error stays near machine
     precision for the integer parameter ranges the quadrature tests
     certify (alpha up to 799, m up to 400). The step factors of each
@@ -222,10 +226,17 @@ def jacobi_eval(m: int, alpha: float, beta: float, t):
 
 
 def jacobi_derivative_eval(m: int, alpha: float, beta: float, t):
-    """d/dt P_m^{(alpha,beta)}(t) via the parameter-shifted identity."""
+    """d/dt P_m^{(alpha,beta)}(t), with the checks of ``jacobi_eval``."""
+    if m < 0:
+        raise ValueError(f"degree must be nonnegative, got {m}")
+    return _jacobi_derivative(m, alpha, beta, _finite_points(t))
+
+
+def _jacobi_derivative(m: int, alpha, beta, t):
+    """d/dt P_m^{(alpha,beta)} at finite points t via the parameter-shifted identity."""
     if m == 0:
         return 0.0 * t
-    return 0.5 * (m + alpha + beta + 1) * jacobi_eval(m - 1, alpha + 1, beta + 1, t)
+    return 0.5 * (m + alpha + beta + 1) * _jacobi_pair(m - 1, alpha + 1, beta + 1, t)[0]
 
 
 def _jacobi_matrix(m: int, a: int):

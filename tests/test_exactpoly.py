@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -109,6 +110,16 @@ def test_exact_evaluation():
     assert p(Fraction(1, 2)) == Fraction(-1, 2)
     assert p(0) == 3
     assert isinstance(p(0.5), float)
+    # a float point is evaluated exactly and rounded once, and a numpy
+    # integer exactly; a plain float loop gave 572005.203125 and
+    # -14791366692317.0 here
+    p40 = alp_coefficients(40, 1)
+    assert p40(0.5) == -0.13134072036336875
+    value = p40(np.int64(1))
+    assert value == Fraction(-1) and type(value) is Fraction
+    for bad in (np.array([0.5]), np.array(0.5), 0.5j, "0.5"):
+        with pytest.raises(TypeError, match=f"^polynomial point must be a real number, got {type(bad).__name__}$"):
+            p40(bad)
 
 
 def test_equality_and_hash():
@@ -196,11 +207,9 @@ def test_arithmetic_matches_fraction_reference(a, b, s, x, i, f):
         value = poly(point)
         assert value == _value_reference(poly.coeffs, point)
         assert type(value) is Fraction
-    # a float point runs the plain float loop, bit for bit
-    acc = 0.0
-    for c in reversed(p.coeffs):
-        acc = acc * f + c
-    assert p(f).hex() == acc.hex()
+    # a float point gives the exact value at its binary value, correctly rounded
+    value = p(f)
+    assert type(value) is float and value == float(_value_reference(p.coeffs, Fraction(f)))
 
 
 def test_evaluation_at_order_400_matches_fraction_reference():

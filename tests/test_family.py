@@ -35,7 +35,7 @@ from alpquad import (
     reciprocity_transform,
     recurrence_coefficients,
 )
-from alpquad.jacobi import binomial_general, jacobi_eval, jacobi_shifted_coefficients
+from alpquad.jacobi import binomial_general, jacobi_derivative_eval, jacobi_eval, jacobi_shifted_coefficients
 from exact_kernel import exact_kernel_sums
 
 # ---------------------------------------------------------------------------
@@ -369,28 +369,74 @@ def test_family_methods_reject_nonfinite():
 
 
 def test_non_numeric_points_raise_a_type_error_naming_them():
-    fam = family(5)
-    calls = [
-        lambda x: alp_eval(5, 2, x),
-        lambda x: aux_eval(2, 5, x),
-        lambda x: alp_derivative_eval(5, 2, x),
-        lambda x: alp_eval_recurrence(5, x),
-        lambda x: jacobi_eval(2, 0, 0, x),
-        lambda x: fam.eval(2, x),
-        lambda x: fam.weight_denominator(1, x),
+    # one table of point kinds x float entry points. A real number or real
+    # numpy input is evaluated at its float64 value, so its bits are those
+    # of that value: long double is narrowed (the Dekker splits assume a
+    # 53-bit significand), a scalar gives a float and an array a float64
+    # array. Anything else raises an error naming it
+    fam = family(30)  # kstar is 17, so fam.eval(3, x) runs the Jacobi branch
+    calls = {
+        "alp_eval": lambda x: alp_eval(22, 0, x),
+        "aux_eval": lambda x: aux_eval(2, 5, x),
+        "alp_derivative_eval": lambda x: alp_derivative_eval(22, 3, x),
+        "alp_eval_recurrence": lambda x: alp_eval_recurrence(22, x),
+        "jacobi_eval": lambda x: jacobi_eval(9, 3, 0, x),
+        "jacobi_derivative_eval": lambda x: jacobi_derivative_eval(9, 3, 0, x),
+        "jacobi_derivative_eval at m = 0": lambda x: jacobi_derivative_eval(0, 1, 0, x),
+        "AlpFamily.eval": lambda x: fam.eval(3, x),
+        "AlpFamily.weight_denominator": lambda x: fam.weight_denominator(1, x),
+    }
+    third = np.longdouble(1) / 3  # not a double
+    xs = np.random.default_rng(2401).random(64)
+    accepted = [  # (point, its float64 value)
+        (0.3, 0.3),
+        (1, 1.0),
+        (True, 1.0),
+        (Fraction(3, 10), 0.3),
+        (np.float16(0.3), float(np.float16(0.3))),
+        (np.float32(0.3), float(np.float32(0.3))),
+        (np.float64(0.3), 0.3),
+        (third, float(third)),
+        (np.array(0.3), 0.3),
+        (xs, xs),
+        (xs.astype(np.longdouble) / 3, (xs.astype(np.longdouble) / 3).astype(np.float64)),
+        (np.array([0, 1]), np.array([0.0, 1.0])),
     ]
-    for call in calls:
-        for bad in ([0.5], (0.5,), "0.5"):
-            kind = type(bad).__name__
-            with pytest.raises(TypeError, match=f"^evaluation point must be a number or a numpy array, got {kind}$"):
-                call(bad)
+    cast = "Cannot cast {} from dtype('{}') to dtype('float64') according to the rule 'same_kind'"
+    refused = [  # (point, error, message)
+        (0.3 + 0j, TypeError, "evaluation point must be a real number or a numpy array, got complex"),
+        (np.complex128(0.3), TypeError, cast.format("scalar", "complex128")),
+        (np.array([0.3 + 0j]), TypeError, cast.format("array data", "complex128")),
+        (np.array([0.3], dtype=object), TypeError, cast.format("array data", "O")),
+        ([0.3], TypeError, "evaluation point must be a real number or a numpy array, got list"),
+        ((0.3,), TypeError, "evaluation point must be a real number or a numpy array, got tuple"),
+        ("0.3", TypeError, "evaluation point must be a real number or a numpy array, got str"),
+        (10**400, OverflowError, "int too large to convert to float"),
+        (float("nan"), ValueError, "evaluation point must be finite, got nan"),
+    ]
+    for name, call in calls.items():
+        for point, value in accepted:
+            if name == "alp_eval_recurrence" and np.ndim(point):
+                shape = re.escape(str(np.shape(point)))
+                with pytest.raises(TypeError, match=f"^alp_eval_recurrence takes one point, got an array of shape {shape}$"):
+                    call(point)
+                continue
+            got = call(point)
+            values = got if isinstance(got, list) else [got]
+            if np.ndim(point):
+                assert all(type(v) is np.ndarray and v.dtype == np.float64 for v in values), (name, point)
+            else:
+                assert all(type(v) in (float, np.float64) for v in values), (name, point, got)
+            assert np.asarray(got).tobytes() == np.asarray(call(value)).tobytes(), (name, point)
+        for point, error, message in refused:
+            with pytest.raises(error, match=f"^{re.escape(message)}$"):
+                call(point)
     for bad in (np.array([0.5]), np.zeros((2, 3))):
         with pytest.raises(TypeError, match=re.escape(f"alp_eval_recurrence takes one point, got an array of shape {bad.shape}")):
             alp_eval_recurrence(5, bad)
-    # other numbers keep working: a 0-d array, a Fraction, a complex point
-    assert alp_eval_recurrence(5, np.array(0.5)) == alp_eval_recurrence(5, 0.5)
     assert jacobi_eval(2, 0, 0, Fraction(1, 2)) == -0.125
-    assert jacobi_eval(2, 0, 0, 1j) == -2
+    with pytest.raises(TypeError, match="got complex$"):
+        jacobi_eval(2, 0, 0, 1j)
 
 
 def test_eval_array_input():
@@ -656,7 +702,7 @@ def test_derivative_identity_and_fallback_agree():
     for n, k in [(3, 1), (5, 0), (7, 4), (10, 10)]:
         dpoly = alp_coefficients(n, k).derivative()
         for x in np.linspace(0.05, 0.95, 13):
-            want = float(dpoly(Fraction(float(x))))
+            want = dpoly(x)
             got = alp_derivative_eval(n, k, float(x))
             assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
 
@@ -668,7 +714,7 @@ def test_derivative_matches_exact_near_endpoints():
         for k in range(n + 1):
             dpoly = alp_coefficients(n, k).derivative()
             for x in (0.0, 1e-9, 1e-7, 1.0 - 1e-7, 1.0 - 1e-9, 1.0):
-                want = float(dpoly(Fraction(x)))
+                want = dpoly(x)
                 got = alp_derivative_eval(n, k, x)
                 assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), (n, k, x)
 
@@ -727,5 +773,5 @@ def test_aux_eval_matches_exact_expansion():
     for n, k in [(0, 4), (1, 3), (2, 5), (4, 4)]:
         poly = aux_coefficients(n, k)
         for x in np.linspace(0.0, 1.0, 11):
-            want = float(poly(Fraction(float(x))))
+            want = poly(x)
             assert aux_eval(n, k, float(x)) == pytest.approx(want, rel=1e-11, abs=1e-13)

@@ -1,7 +1,5 @@
 """Jacobi helpers: exact shifted expansions and recurrence evaluation."""
 
-from fractions import Fraction
-
 import numpy as np
 import pytest
 
@@ -77,7 +75,7 @@ def test_shifted_expansion_beta_one():
 def test_recurrence_matches_exact_expansion(m, alpha, beta):
     poly = jacobi_shifted_coefficients(m, alpha, beta)
     for u in np.linspace(0.0, 1.0, 23):
-        exact = float(poly(Fraction(float(u))))
+        exact = poly(u)
         got = jacobi_eval(m, alpha, beta, 1.0 - 2.0 * float(u))
         assert got == pytest.approx(exact, rel=1e-12, abs=1e-12)
 
@@ -110,7 +108,7 @@ def test_narrow_float_input_evaluates_in_double(dtype):
     for t in ts:
         assert jacobi_eval(20, 3, 0, t) == jacobi_eval(20, 3, 0, float(t))
     # float32 arithmetic gave 0.27912596 here
-    want = float(jacobi_shifted_coefficients(20, 3)(Fraction((1 - float(dtype(0.4))) / 2)))
+    want = jacobi_shifted_coefficients(20, 3)((1 - float(dtype(0.4))) / 2)
     assert jacobi_eval(20, 3, 0, dtype(0.4)) == pytest.approx(want, rel=1e-13)
 
 
@@ -118,6 +116,9 @@ def test_eval_rejects_nonfinite():
     for bad in (float("nan"), float("inf"), np.float32("nan"), np.float16("inf"), np.array([0.0, np.nan])):
         with pytest.raises(ValueError):
             jacobi_eval(3, 2, 0, bad)
+        # degree 0 checks its point too, where it once returned 0.0 * t
+        with pytest.raises(ValueError):
+            jacobi_derivative_eval(0, 1, 0, bad)
 
 
 def test_derivative_eval_matches_expansion_derivative():
@@ -126,7 +127,7 @@ def test_derivative_eval_matches_expansion_derivative():
     dpoly = poly.derivative()
     for u in np.linspace(0.05, 0.95, 7):
         # d/dt = -(1/2) d/du
-        want = -0.5 * float(dpoly(Fraction(float(u))))
+        want = -0.5 * dpoly(u)
         got = jacobi_derivative_eval(m, alpha, 0, 1.0 - 2.0 * float(u))
         assert got == pytest.approx(want, rel=1e-11)
     assert jacobi_derivative_eval(0, 2, 0, 0.3) == 0.0
@@ -137,6 +138,8 @@ def test_degree_validation():
         jacobi_shifted_coefficients(-1, 2)
     with pytest.raises(ValueError):
         jacobi_eval(-1, 0, 0, 0.5)
+    with pytest.raises(ValueError, match="^degree must be nonnegative, got -1$"):
+        jacobi_derivative_eval(-1, 0, 0, 0.5)
 
 
 def test_jacobi_matrix_legendre_case_is_finite():
