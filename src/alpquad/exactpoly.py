@@ -6,6 +6,15 @@ decisive. Floats appear in two outputs only: `Polynomial.float_coeffs()`, and
 calling a `Polynomial` at a float point, which evaluates exactly at the
 point's binary value and rounds once.
 Polynomials are immutable and hashable.
+
+`_exact` is the exact layer's one door for a caller's scalar, a coefficient
+or a point: a Python or numpy integer becomes the Python int it equals (a
+numpy integer's own arithmetic wraps at 64 bits), a float of any width its
+exact binary value, and a Fraction or a str stays what `Fraction` makes of
+it. Integer indices never come through it: each exact entry point takes its
+indices once with ``operator.index``, in the index check it already runs
+(``family._check_index`` returns them as Python ints), so a float index
+raises TypeError.
 """
 
 from __future__ import annotations
@@ -21,10 +30,21 @@ __all__ = ["Polynomial", "inner_product"]
 
 
 def _exact(c) -> Scalar:
-    # the one choice of exact scalar: Fraction converts floats, strings and numpy
-    # scalars exactly; an integral value is kept as the int it equals and hashes as
+    """c as the one exact scalar: the int it equals when integral, else a Fraction.
+
+    A Fraction is tested for first, then a Python int, which skips the ABC
+    isinstance test: that takes about 0.6 us, some 6% of a
+    ``jacobi_shifted_coefficients`` call at order 20, whose beta is an int.
+    Any integer (numpy integers of every width, bool) becomes the Python int
+    it equals; any other real (float, numpy float16 to long double) its
+    exact binary value; anything else, a str say, goes through
+    ``Fraction``'s own parser.
+    """
     if type(c) is not Fraction:
-        c = Fraction(c)
+        if type(c) is int or isinstance(c, numbers.Integral):
+            return int(c)
+        real = isinstance(c, numbers.Real) and not isinstance(c, numbers.Rational)
+        c = Fraction(*c.as_integer_ratio()) if real else Fraction(c)
     return c.numerator if c.denominator == 1 else c
 
 
@@ -40,6 +60,7 @@ class Polynomial:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
+        # a Python int passes as it is; every other coefficient goes through _exact
         cs = [c if type(c) is int else _exact(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
@@ -133,22 +154,24 @@ class Polynomial:
 
     def __call__(self, x):
         """Horner evaluation, exact: a Fraction at a rational x, numpy integers
-        included; at any other real x, a float, the value at x's binary value
-        (``as_integer_ratio``) rounded once. Anything else raises TypeError.
+        included; at any other real x, a float, the value at x's exact binary
+        value rounded once. x goes through ``_exact``; anything that is not a
+        real number raises TypeError.
 
         At x = p/q the loop runs in integers, acc = acc p + c q^i, so acc ends
         as q^d P(p/q) and one Fraction is built at the end; only a Fraction
         coefficient makes a step rational.
         """
-        if not isinstance(x, numbers.Rational):
-            if not isinstance(x, numbers.Real):
-                raise TypeError(f"polynomial point must be a real number, got {type(x).__name__}")
-            return float(self(Fraction(*x.as_integer_ratio())))
-        p, q = int(x.numerator), int(x.denominator)  # a numpy integer's own arithmetic would wrap
+        rational = isinstance(x, numbers.Rational)  # one ABC test for the common rational point
+        if not rational and not isinstance(x, numbers.Real):
+            raise TypeError(f"polynomial point must be a real number, got {type(x).__name__}")
+        point = _exact(x)
+        p, q = point.numerator, point.denominator
         acc, scale = 0, 1
         for c in reversed(self._coeffs):
             acc, scale = acc * p + c * scale, scale * q
-        return Fraction(acc, scale // q) if self._coeffs else Fraction(0)
+        value = Fraction(acc, scale // q) if self._coeffs else Fraction(0)
+        return value if rational else float(value)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):

@@ -23,8 +23,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, perm
+from operator import index
 
-from .exactpoly import Polynomial, _combine, _quotient
+from .exactpoly import Polynomial, _combine, _exact, _quotient
 from .horner import comp_horner, comp_power
 from .jacobi import (
     _alp_kernel,
@@ -62,9 +63,16 @@ PUBLISHED = "published"
 _MAX_EXACT_FLOAT = float(2**53)  # integers above this round on conversion
 
 
-def _check_index(n: int, k: int) -> None:
+def _check_index(n: int, k: int) -> tuple[int, int]:
+    """(n, k) as Python ints, after checking 0 <= k <= n.
+
+    Every entry point rebinds its indices from the return value, so a numpy
+    integer index never reaches the exact arithmetic, where it would wrap at
+    64 bits; a float index raises TypeError.
+    """
     if n < 0 or k < 0 or k > n:
         raise ValueError(f"family index requires 0 <= k <= n, got n={n}, k={k}")
+    return index(n), index(k)
 
 
 def _check_variant(variant: str) -> None:
@@ -75,7 +83,8 @@ def _check_variant(variant: str) -> None:
 _COEFFICIENT_CACHE_SIZE = 1024  # verify --max-n 30 reads 496 members
 
 
-@lru_cache(maxsize=_COEFFICIENT_CACHE_SIZE)
+# typed: an untyped key would let (5.0, 2) hit the entry of (5, 2) and skip the guard's TypeError
+@lru_cache(maxsize=_COEFFICIENT_CACHE_SIZE, typed=True)
 def alp_coefficients(n: int, k: int) -> Polynomial:
     """Exact coefficients of P_nk from the explicit binomial sum.
 
@@ -83,7 +92,7 @@ def alp_coefficients(n: int, k: int) -> Polynomial:
     All coefficients are integers; the lowest power is exactly k and the
     degree exactly n.
     """
-    _check_index(n, k)
+    n, k = _check_index(n, k)
     coeffs = [0] * (n + 1)
     for j in range(n - k + 1):
         coeffs[k + j] = (-1) ** j * comb(n - k, j) * comb(n + k + 1 + j, n - k)
@@ -96,7 +105,7 @@ def alp_coefficients_rodrigues(n: int, k: int) -> Polynomial:
     Expands x^{n+k+1} (1-x)^{n-k} exactly, differentiates n-k times,
     divides by (n-k)! and by x^{k+1}. Must equal alp_coefficients(n, k).
     """
-    _check_index(n, k)
+    n, k = _check_index(n, k)
     m = n - k
     # x^{n+k+1} (1-x)^m has coefficient (-1)^i C(m, i) at power p = n+k+1+i, and
     # the m-th derivative takes x^p to perm(p, m) x^{p-m}, all in one pass
@@ -114,7 +123,7 @@ def alp_coefficients_hypergeometric(n: int, k: int, variant: str = CORRECTED) ->
     the published pair C(n+k, n-k), c = 2k+1 fails the coefficient match
     for every k < n and is kept only for the misprint report.
     """
-    _check_index(n, k)
+    n, k = _check_index(n, k)
     _check_variant(variant)
     m = n - k
     if variant == CORRECTED:
@@ -131,7 +140,7 @@ def alp_coefficients_jacobi(n: int, k: int, variant: str = CORRECTED) -> Polynom
     Corrected superscripts (A, B) = (2k+1, 0); the published (2k, 1) fails
     orthogonality (hence the coefficient match) for every k < n.
     """
-    _check_index(n, k)
+    n, k = _check_index(n, k)
     _check_variant(variant)
     A, B = (2 * k + 1, 0) if variant == CORRECTED else (2 * k, 1)
     return jacobi_shifted_coefficients(n - k, A, B).shifted(k)
@@ -146,7 +155,7 @@ def reciprocity_transform(n: int, k: int) -> Polynomial:
     x^n q(1/x), a genuine polynomial of degree <= n. Must equal
     alp_coefficients(n, k).
     """
-    _check_index(n, k)
+    n, k = _check_index(n, k)
     q = jacobi_shifted_coefficients(n - k, -2 * n - 2)
     # x^n * q(1/x): coefficient of u^j in q lands on x^{n-j}
     out = [0] * (n + 1)
@@ -185,7 +194,7 @@ class RecurrenceCoefficients:
 
 def recurrence_coefficients(n: int, k: int) -> RecurrenceCoefficients:
     """All recurrence/differentiation factors for P_nk; see the dataclass."""
-    _check_index(n, k)
+    n, k = _check_index(n, k)
     return RecurrenceCoefficients(
         n=n,
         k=k,
@@ -238,7 +247,7 @@ class AlpFamily:
     def __init__(self, n: int):
         if n < 0:
             raise ValueError(f"family order must be nonnegative, got {n}")
-        self.n = n
+        self.n = n = index(n)
         deflated = []
         for k in range(n, -1, -1):
             p = alp_coefficients.__wrapped__(n, k)
@@ -257,12 +266,12 @@ class AlpFamily:
     def eval(self, k: int, x):
         """P_nk(x) for scalar or ndarray x, evaluated in double (see
         ``jacobi._finite_points``); a non-finite x raises ValueError."""
-        _check_index(self.n, k)
+        n, k = _check_index(self.n, k)
         x = _finite_points(x)
         if k >= self.kstar:
             deflated = comp_horner(self._deflated[k - self.kstar], x)
         else:
-            deflated = _jacobi_pair(self.n - k, 2 * k + 1, 0, 1.0 - 2.0 * x)[0]
+            deflated = _jacobi_pair(n - k, 2 * k + 1, 0, 1.0 - 2.0 * x)[0]
         return comp_power(x, k) * deflated
 
     def weight_denominator(self, kmin: int, x):
@@ -279,9 +288,9 @@ class AlpFamily:
         """
         import numpy as np
 
-        _check_index(self.n, kmin)
+        n, kmin = _check_index(self.n, kmin)
         x = _finite_points(x)
-        v, e = _alp_kernel(self.n, kmin, np.reshape(x, -1) if np.ndim(x) == 0 else x)
+        v, e = _alp_kernel(n, kmin, np.reshape(x, -1) if np.ndim(x) == 0 else x)
         return np.ldexp(v, e).reshape(np.shape(x))[()]
 
 
@@ -300,17 +309,20 @@ def alp_eval(n: int, k: int, x):
     3e-14; see ``AlpFamily``. A scalar x gives exactly the value that x
     gives as an array element.
     """
-    _check_index(n, k)
+    n, k = _check_index(n, k)
     return family(n).eval(k, x)
 
 
 def alp_eval_exact(n: int, k: int, x) -> Fraction:
-    """P_nk(x) as an exact Fraction; x is converted to Fraction exactly, a float by its binary value.
+    """P_nk(x) as an exact Fraction.
 
-    The member is evaluated in integers, with one Fraction built at the end
+    x goes through the exact layer's door (``exactpoly._exact``): an integer
+    of any kind stays exact, a float of any width (numpy float16 to long
+    double) gives its binary value, and a str is parsed by ``Fraction``. The
+    member is evaluated in integers, with one Fraction built at the end
     (``Polynomial.__call__``).
     """
-    return alp_coefficients(n, k)(Fraction(x))
+    return alp_coefficients(n, k)(_exact(x))
 
 
 @lru_cache(maxsize=64)  # an order-600 table takes about 0.13 MB
@@ -362,6 +374,7 @@ def alp_eval_recurrence(n: int, x: float) -> list[float]:
     """
     if n < 0:
         raise ValueError(f"family order must be nonnegative, got {n}")
+    n = index(n)
     x = _finite_points(x)
     if getattr(x, "ndim", 0):
         raise TypeError(f"alp_eval_recurrence takes one point, got an array of shape {x.shape}")
@@ -386,7 +399,7 @@ def alp_derivative_eval(n: int, k: int, x: float) -> float:
     ordinary points. x^(k-1) comes from ``comp_power``, as in ``AlpFamily``,
     so a scalar x gives exactly the value that x gives as an array element.
     """
-    _check_index(n, k)
+    n, k = _check_index(n, k)
     x = _finite_points(x)
     t = 1.0 - 2.0 * x
     dj = _jacobi_derivative(n - k, 2 * k + 1, 0, t)
@@ -401,20 +414,23 @@ def ode_residual(n: int, k: int) -> Polynomial:
     Returns x^2 (1-x) zeta'' - x^2 zeta' + ((n+1)^2 x - k(k+1)) zeta as an
     exact polynomial; identically zero for every valid (n, k).
     """
+    n, k = _check_index(n, k)
     zeta = alp_coefficients(n, k).shifted(1)
     z1 = zeta.derivative()
     z2 = z1.derivative()
     return _combine((1, 2, z2), (-1, 3, z2), (-1, 2, z1), ((n + 1) ** 2, 1, zeta), (-k * (k + 1), 0, zeta))
 
 
-def _check_aux_index(n: int, k: int) -> None:
+def _check_aux_index(n: int, k: int) -> tuple[int, int]:
+    # (n, k) as Python ints, like _check_index
     if n < 0 or k < n:
         raise ValueError(f"auxiliary index requires k >= n >= 0, got n={n}, k={k}")
+    return index(n), index(k)
 
 
 def aux_coefficients(n: int, k: int) -> Polynomial:
     """Exact coefficients of the auxiliary member P_nk = x^n P^{(2n,0)}_{k-n}(1-2x)."""
-    _check_aux_index(n, k)
+    n, k = _check_aux_index(n, k)
     return jacobi_shifted_coefficients(k - n, 2 * n).shifted(n)
 
 
@@ -425,6 +441,6 @@ def aux_eval(n: int, k: int, x):
     exactly the value that x gives as an array element. For n = 0 these
     are the Legendre polynomials shifted to [0, 1].
     """
-    _check_aux_index(n, k)
+    n, k = _check_aux_index(n, k)
     x = _finite_points(x)
     return comp_power(x, n) * _jacobi_pair(k - n, 2 * n, 0, 1.0 - 2.0 * x)[0]

@@ -41,8 +41,9 @@ import threading
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
+from operator import index
 
-from .exactpoly import Polynomial, Scalar, _quotient
+from .exactpoly import Polynomial, Scalar, _exact, _quotient
 
 __all__ = [
     "pochhammer",
@@ -82,16 +83,17 @@ def jacobi_shifted_coefficients(m: int, alpha: int, beta: int = 0) -> Polynomial
     is admitted whenever no denominator factor (alpha+1)_j vanishes for
     j <= m.
 
-    Raises ValueError if a Pochhammer denominator vanishes inside the
-    series range.
+    m and alpha are taken as Python ints (a float raises TypeError) and
+    beta through ``exactpoly._exact``, so a numpy integer never reaches the
+    exact series and a rational beta keeps its exact value. Raises
+    ValueError if a Pochhammer denominator vanishes inside the series range.
     """
+    m, alpha, beta = index(m), index(alpha), _exact(beta)
     if m < 0:
         raise ValueError(f"degree must be nonnegative, got {m}")
     if 0 < -alpha <= m:
         # (alpha+1)_j hits zero once alpha + j = 0, i.e. j = -alpha <= m
-        raise ValueError(
-            f"series denominator (alpha+1)_j vanishes for alpha={alpha}, m={m}"
-        )
+        raise ValueError(f"series denominator (alpha+1)_j vanishes for alpha={alpha}, m={m}")
     prefactor = binomial_general(m + alpha, m)
     return Polynomial(_hypergeometric_terms(prefactor, -m, m + alpha + beta + 1, alpha + 1, m))
 

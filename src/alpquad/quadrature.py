@@ -25,6 +25,7 @@ at any input.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -112,9 +113,7 @@ def nodes(n: int, k: int) -> tuple[float, ...]:
     xs = (x + step).tolist()
     if not all(abs(v) <= _MAX_CORRECTION for v in step.tolist()):  # max() would let a NaN through
         worst = float(np.max(np.abs(step)))
-        raise RootFindingError(
-            f"Newton correction {worst:.3e} above tolerance for n={n}, k={k}"
-        )
+        raise RootFindingError(f"Newton correction {worst:.3e} above tolerance for n={n}, k={k}")
     if not all(0.0 < v < 1.0 for v in xs):
         raise RootFindingError(f"a node escaped (0,1) at n={n}, k={k}")
     if not all(u < v for u, v in zip(xs, xs[1:])):
@@ -132,12 +131,18 @@ def weights(n: int, k: int, rule_nodes: Sequence[float]) -> tuple[float, ...]:
     just above a power of two lose accuracy. Any point of (0, 1) may be
     given, not only the nodes; a point outside it (NaN and +-inf included)
     raises ValueError naming the first such point, and a weight beyond the
-    double range comes back as inf.
+    double range comes back as inf. The nodes are cast to float64 by the
+    float layer's rule: bool, integer and float nodes are cast, and so are
+    objects that are all real numbers (Fractions, say); any other kind
+    (complex, str) raises TypeError naming the dtype.
     """
     import numpy as np
 
     _check_rule_index(n, k)
-    x = np.asarray(rule_nodes, dtype=float)
+    x = np.asarray(rule_nodes)
+    if x.dtype.kind not in "biuf" and not (x.dtype.kind == "O" and all(isinstance(v, numbers.Real) for v in x.flat)):
+        raise TypeError(f"nodes must be real numbers, got an array of dtype {x.dtype}")
+    x = x.astype(np.float64, copy=False)
     for i, v in enumerate(x.tolist()):
         if not 0.0 < v < 1.0:
             raise ValueError(f"node {rule_nodes[i]} outside the open interval (0,1)")
@@ -188,9 +193,7 @@ def expand_in_alp(p: Polynomial, n: int, kmin: int) -> list[Fraction]:
     """
     if not 0 <= kmin <= n:
         raise ValueError(f"require 0 <= kmin <= n, got kmin={kmin}, n={n}")
-    return [
-        (2 * k + 1) * inner_product(p, alp_coefficients(n, k)) for k in range(kmin, n + 1)
-    ]
+    return [(2 * k + 1) * inner_product(p, alp_coefficients(n, k)) for k in range(kmin, n + 1)]
 
 
 def _fmt17(x: float) -> str:

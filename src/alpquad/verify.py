@@ -25,7 +25,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import attrgetter, mul
+from operator import attrgetter, index, mul
 
 from .exactpoly import Polynomial, Scalar, _combine
 from .family import (
@@ -128,6 +128,7 @@ def verify_orthogonality(n: int) -> list[IdentityReport]:
     """Exact pairwise orthogonality, diagonal norms 1/(2k+1), and sign checks."""
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
+    n = index(n)
     fam = {k: alp_coefficients(n, k) for k in range(n + 1)}
     note = "sign of x^n coefficient must be (-1)^(n-k)"
     return _orthogonality_reports(n, fam, ("orthogonality", "sign_normalization"), lambda k: n, note)
@@ -137,6 +138,7 @@ def verify_aux_orthogonality(n: int, kmax: int) -> list[IdentityReport]:
     """Exact orthogonality of the auxiliary sequence prefix n <= k <= kmax."""
     if kmax < n:
         raise ValueError(f"kmax must be >= n, got n={n}, kmax={kmax}")
+    n, kmax = index(n), index(kmax)
     aux = {k: aux_coefficients(n, k) for k in range(n, kmax + 1)}
     note = "sign of x^k coefficient must be (-1)^(k-n)"
     return _orthogonality_reports(n, aux, ("aux_orthogonality", "aux_sign"), lambda k: k, note)
@@ -277,6 +279,7 @@ def fit_lowering_coefficients(n: int, k: int) -> tuple[Fraction, Fraction, Fract
     """
     if not 1 <= k <= n:
         raise ValueError(f"lowering formula requires 1 <= k <= n, got n={n}, k={k}")
+    n, k = index(n), index(k)
     p = alp_coefficients(n, k)
     below = alp_coefficients(n, k - 1)
     kappa = 2 * k

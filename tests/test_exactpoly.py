@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from alpquad import Polynomial, inner_product
 from alpquad.exactpoly import _combine
-from alpquad.family import alp_coefficients
+from alpquad.family import alp_coefficients, alp_eval_exact
 
 small_polys = st.lists(st.integers(min_value=-9, max_value=9), min_size=0, max_size=6).map(
     Polynomial
@@ -32,6 +32,27 @@ def test_integral_coefficients_are_stored_as_int():
     assert type(p.coeff(7)) is int
     assert type(Polynomial([3, -5]).max_abs_coeff()) is int
     assert type(Polynomial().max_abs_coeff()) is int
+    # numpy integers and bool become the Python int they equal, so no
+    # coefficient keeps numpy's wrapping 64-bit arithmetic
+    p = Polynomial([np.int64(-4), np.uint8(200), True, np.int32(2**31 - 1)])
+    assert p.coeffs == (-4, 200, 1, 2**31 - 1)
+    assert all(type(c) is int for c in p.coeffs)
+    # a numpy float of any width is stored as its exact binary value
+    extra = np.longdouble(1) + np.longdouble(2) ** -60  # 1 where long double is double
+    for c, want in [
+        (np.float16(0.1), Fraction(float(np.float16(0.1)))),
+        (np.float32(0.1), Fraction(float(np.float32(0.1)))),
+        (np.longdouble(0.1), Fraction(0.1)),
+        (extra, 1 + Fraction(1, 2**60) if extra != 1 else 1),
+        (np.float32(3.0), 3),
+    ]:
+        (got,) = Polynomial([c]).coeffs
+        assert got == want and type(got) is type(want), (c, got)
+    # 3^40 and 7^40 are far past 2^63; an int64 coefficient wrapped at the 19th power
+    power, want, base = Polynomial([1]), Polynomial([1]), Polynomial(np.array([3, -2, 7]))
+    for _ in range(40):
+        power, want = power * base, want * Polynomial([3, -2, 7])
+    assert power == want and all(type(c) is int for c in power.coeffs)
 
 
 def test_monomial_and_low_power():
@@ -120,6 +141,14 @@ def test_exact_evaluation():
     for bad in (np.array([0.5]), np.array(0.5), 0.5j, "0.5"):
         with pytest.raises(TypeError, match=f"^polynomial point must be a real number, got {type(bad).__name__}$"):
             p40(bad)
+    # alp_eval_exact takes a numpy float of any width at its exact binary value
+    for x in (np.float16(0.3), np.float32(0.3), np.longdouble(0.3)):
+        value = alp_eval_exact(30, 3, x)
+        assert value == alp_eval_exact(30, 3, float(x)) and type(value) is Fraction, x
+        assert p40(x) == p40(float(x)) and type(p40(x)) is float, x
+    extra = np.longdouble(1) + np.longdouble(2) ** -60  # 1 where long double is double
+    exact = 1 + Fraction(1, 2**60) if extra != 1 else Fraction(1)
+    assert alp_eval_exact(30, 3, extra) == alp_coefficients(30, 3)(exact)
 
 
 def test_equality_and_hash():

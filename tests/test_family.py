@@ -32,8 +32,12 @@ from alpquad import (
     family,
     inner_product,
     ode_residual,
+    expand_in_alp,
+    fit_lowering_coefficients,
     reciprocity_transform,
     recurrence_coefficients,
+    verify_aux_orthogonality,
+    verify_orthogonality,
 )
 from alpquad.jacobi import binomial_general, jacobi_derivative_eval, jacobi_eval, jacobi_shifted_coefficients
 from exact_kernel import exact_kernel_sums
@@ -141,6 +145,63 @@ def test_index_validation():
             family(2).polynomial(k)
         with pytest.raises(ValueError, match=message):
             family(2).float_coefficients(k)
+
+
+def _python_numbers(value) -> bool:
+    # True iff no numpy scalar hides in value: coefficients, dataclass fields, lists and tuples
+    if isinstance(value, Polynomial):
+        return _python_numbers(value.coeffs)
+    if isinstance(value, (list, tuple)):
+        return all(map(_python_numbers, value))
+    if hasattr(value, "__dataclass_fields__"):
+        return _python_numbers(tuple(vars(value).values()))
+    if type(value) is Fraction:
+        return type(value.numerator) is int and type(value.denominator) is int
+    return type(value) in (int, bool, float, str)
+
+
+def test_index_kinds():
+    """numpy integer and bool indices give what Python ints give, and no
+    numpy integer reaches a coefficient or a field (an int64 index would
+    wrap from hypergeometric (10, 0) on); a float index raises TypeError."""
+    x = Fraction(1, 3)
+    pairs = [(n, k) for n in range(31) for k in range(n + 1)]
+    calls = [  # (name, call, its (n, k) pairs)
+        ("alp_coefficients", alp_coefficients, pairs),
+        ("rodrigues", alp_coefficients_rodrigues, pairs),
+        ("hypergeometric", alp_coefficients_hypergeometric, pairs),
+        ("hypergeometric published", lambda n, k: alp_coefficients_hypergeometric(n, k, "published"), pairs),
+        ("jacobi", alp_coefficients_jacobi, pairs),
+        ("jacobi published", lambda n, k: alp_coefficients_jacobi(n, k, "published"), pairs),
+        ("reciprocity", reciprocity_transform, pairs),
+        ("recurrence_coefficients", recurrence_coefficients, pairs),
+        ("ode_residual", ode_residual, pairs),
+        ("alp_eval_exact", lambda n, k: alp_eval_exact(n, k, x), pairs),
+        ("aux_coefficients", aux_coefficients, [(k, n) for n, k in pairs]),
+        ("jacobi_shifted_coefficients", jacobi_shifted_coefficients, [(m, a) for m in range(31) for a in range(62)]),
+        ("jacobi_shifted_coefficients, beta", lambda m, a: jacobi_shifted_coefficients(m, a, a), pairs),
+        ("fit_lowering_coefficients", fit_lowering_coefficients, [(n, k) for n, k in pairs if k >= 1]),
+        ("alp_eval_recurrence", lambda n, k: alp_eval_recurrence(n, 0.3), [(n, 0) for n in (*range(31), 40)]),
+        ("verify_orthogonality", lambda n, k: verify_orthogonality(n), [(n, 0) for n in range(31)]),
+        ("verify_aux_orthogonality", verify_aux_orthogonality, [(n, 30) for n in range(31)]),
+        ("expand_in_alp", lambda n, k: expand_in_alp(Polynomial(range(31)), n, k), pairs[::7]),
+    ]
+    for name, call, args in calls:
+        for n, k in args:
+            want = call(n, k)
+            for kind in (np.int64, np.int32, bool):
+                if kind is bool and max(n, k) > 1:
+                    continue
+                got = call(kind(n), kind(k))
+                assert got == want and _python_numbers(got), (name, kind, n, k)
+    for name, call, args in calls:
+        n, k = args[-1]
+        for bad in ((float(n), k), (n, float(k))):
+            if name in ("alp_eval_recurrence", "verify_orthogonality") and type(bad[1]) is float:
+                continue  # these take one index
+            with pytest.raises(TypeError, match="^'float' object cannot be interpreted as an integer$"):
+                call(*bad)
+    assert verify_orthogonality(np.int64(3))[0].json_line() == verify_orthogonality(3)[0].json_line()
 
 
 # ---------------------------------------------------------------------------
@@ -632,21 +693,35 @@ def test_downward_recurrence_known_values():
     assert vals[2] == pytest.approx(-0.5, abs=1e-13)
 
 
-def test_downward_recurrence_at_zero_gives_limits():
+@pytest.fixture(scope="module")
+def recurrence_at_ends():
+    """alp_eval_recurrence(n, x) at x = 0 (n <= 600) and x = 1 (n <= 720, 800, 1000).
+
+    Both points of one order are evaluated in turn, so each order's table
+    of step factors is built once for both tests.
+    """
+    at = {0.0: {}, 1.0: {}}
+    for n in [*range(721), 800, 1000]:
+        for x in (0.0, 1.0) if n <= 600 else (1.0,):
+            at[x][n] = alp_eval_recurrence(n, x)
+    return at
+
+
+def test_downward_recurrence_at_zero_gives_limits(recurrence_at_ends):
     vals = alp_eval_recurrence(3, 0.0)  # k = 3, 2, 1, 0
     assert vals == [0.0, 0.0, 0.0, 4.0]
     # every normalised R_k(0) is exactly 1, so P_n0(0) = n+1 exactly; the
     # values Q_k(0) = C(n+k+1, n-k) themselves pass 2^53 from n = 33 on
     for n in range(601):
-        assert alp_eval_recurrence(n, 0.0) == [0.0] * n + [float(n + 1)], n
+        assert recurrence_at_ends[0.0][n] == [0.0] * n + [float(n + 1)], n
 
 
-def test_downward_recurrence_at_one_alternates():
+def test_downward_recurrence_at_one_alternates(recurrence_at_ends):
     # P_nk(1) = (-1)^(n-k); R_k(1) = +-1/C(n+k+1, n-k) reaches 2^-996 at
     # n = 720 and leaves the double range from n = 740, so neither it nor
     # the scale-back may pass through a subnormal
     for n in [*range(721), 800, 1000]:
-        vals = alp_eval_recurrence(n, 1.0)
+        vals = recurrence_at_ends[1.0][n]
         for idx, k in enumerate(range(n, -1, -1)):
             assert abs(vals[idx] - (-1) ** (n - k)) <= 2e-12, (n, k)
     # inside (0, 1) too, against the Jacobi form x^k P^{(2k+1,0)}_{n-k}(1-2x)

@@ -211,8 +211,24 @@ def test_weights_reject_outside_nodes():
         for bad in (math.nan, math.inf, -math.inf, 0.0, 1.0):
             with pytest.raises(ValueError, match=f"node {bad} outside"):
                 weights(3, 1, kind([0.25, bad, 0.5, 2.0]))
-    with pytest.raises(ValueError):
-        weights(2, 1, [0.5, "half"])
+    # node kinds: real nodes are cast to float64, and a node that is not a
+    # real number raises TypeError naming the dtype; numpy's own cast would
+    # parse strings and drop an imaginary part with only a warning
+    for good, same in [
+        ([Fraction(1, 3), Fraction(3, 5)], [1 / 3, 0.6]),
+        (np.array([0.3, 0.6], dtype=np.float32), [float(np.float32(0.3)), float(np.float32(0.6))]),
+        ([0.3, Fraction(3, 5)], [0.3, 0.6]),
+    ]:
+        assert weights(3, 1, good) == weights(3, 1, same), good
+    for bad, dtype in [
+        ([0.5, "half"], "<U32"),
+        (["0.3", "0.6"], "<U3"),
+        (np.array([0.3 + 0.5j, 0.6]), "complex128"),
+        ([0.3 + 0.5j, 0.6], "complex128"),
+        (np.array([0.3, 0.5j], dtype=object), "object"),
+    ]:
+        with pytest.raises(TypeError, match=f"^nodes must be real numbers, got an array of dtype {dtype}$"):
+            weights(3, 1, bad)
 
 
 def test_build_rule_rejects_nonfinite_weight(monkeypatch):
