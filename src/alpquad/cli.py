@@ -16,7 +16,7 @@ import sys
 from .family import alp_coefficients, alp_eval
 from .horner import horner
 from .quadrature import RootFindingError, _fmt17, build_rule, integrate, rule_to_csv, rule_to_json
-from .verify import _REPORT_KEYS, _report_stream, expected_to_pass, reports_to_json_lines, suite_passes
+from .verify import _REPORT_KEYS, _report_fields, _report_stream, expected_to_pass, suite_passes
 
 _NAMED_INTEGRANDS = {"exp": math.exp, "sin": math.sin, "log1p": math.log1p}
 _DEFAULT_MAX_N = 30
@@ -108,12 +108,13 @@ def _cmd_verify(args) -> int:
     _require(0 <= args.max_n <= _VERIFY_MAX_N, f"require 0 <= max-n <= {_VERIFY_MAX_N}")
     reports = _report_stream(args.max_n)
     if args.format == "json":
-        print(reports_to_json_lines(reports))
+        for r in reports:
+            print(r.json_line())
     elif args.format == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(_REPORT_KEYS)
         for r in reports:
-            writer.writerow([str(v).lower() if isinstance(v, bool) else v for v in vars(r).values()])
+            writer.writerow([str(v).lower() if isinstance(v, bool) else v for v in _report_fields(r)])
     else:
         for r in reports:
             status = "PASS" if r.passed else "FAIL"

@@ -28,6 +28,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import index
 from typing import Callable, Sequence
 
 from .exactpoly import Polynomial, inner_product
@@ -66,9 +67,11 @@ class QuadratureRule:
     weights: tuple[float, ...]
 
 
-def _check_rule_index(n: int, k: int) -> None:
+def _check_rule_index(n: int, k: int) -> tuple[int, int]:
+    """(n, k) as Python ints, after checking 1 <= k <= n; a float index raises TypeError."""
     if not 1 <= k <= n:
         raise ValueError(f"quadrature requires 1 <= k <= n, got n={n}, k={k}")
+    return index(n), index(k)
 
 
 def nodes(n: int, k: int) -> tuple[float, ...]:
@@ -94,7 +97,7 @@ def nodes(n: int, k: int) -> tuple[float, ...]:
     """
     import numpy as np
 
-    _check_rule_index(n, k)
+    n, k = _check_rule_index(n, k)
     m, a = n - k + 1, 2 * k - 1
     diag, off = _jacobi_matrix(m, a)
     # eigvalsh reads the lower triangle only
@@ -138,7 +141,7 @@ def weights(n: int, k: int, rule_nodes: Sequence[float]) -> tuple[float, ...]:
     """
     import numpy as np
 
-    _check_rule_index(n, k)
+    n, k = _check_rule_index(n, k)
     x = np.asarray(rule_nodes)
     if x.dtype.kind not in "biuf" and not (x.dtype.kind == "O" and all(isinstance(v, numbers.Real) for v in x.flat)):
         raise TypeError(f"nodes must be real numbers, got an array of dtype {x.dtype}")
@@ -152,6 +155,7 @@ def weights(n: int, k: int, rule_nodes: Sequence[float]) -> tuple[float, ...]:
 
 def build_rule(n: int, k: int) -> QuadratureRule:
     """Assemble and validate the (n, k) rule."""
+    n, k = _check_rule_index(n, k)
     xs = nodes(n, k)
     ws = weights(n, k, xs)
     if not all(0.0 < w < math.inf for w in ws):

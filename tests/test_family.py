@@ -6,11 +6,13 @@ the defining requirements (orthogonality in decreasing power order, norm
 implementation paths it checks.
 """
 
+import dataclasses
 import hashlib
 import re
 import tracemalloc
 from fractions import Fraction
 from math import comb, factorial, isqrt, prod
+from operator import mul
 
 import numpy as np
 import pytest
@@ -36,8 +38,10 @@ from alpquad import (
     fit_lowering_coefficients,
     reciprocity_transform,
     recurrence_coefficients,
+    nodes,
     verify_aux_orthogonality,
     verify_orthogonality,
+    weights,
 )
 from alpquad.jacobi import binomial_general, jacobi_derivative_eval, jacobi_eval, jacobi_shifted_coefficients
 from exact_kernel import exact_kernel_sums
@@ -153,8 +157,8 @@ def _python_numbers(value) -> bool:
         return _python_numbers(value.coeffs)
     if isinstance(value, (list, tuple)):
         return all(map(_python_numbers, value))
-    if hasattr(value, "__dataclass_fields__"):
-        return _python_numbers(tuple(vars(value).values()))
+    if dataclasses.is_dataclass(value):
+        return _python_numbers(tuple(getattr(value, f.name) for f in dataclasses.fields(value)))
     if type(value) is Fraction:
         return type(value.numerator) is int and type(value.denominator) is int
     return type(value) in (int, bool, float, str)
@@ -166,6 +170,7 @@ def test_index_kinds():
     wrap from hypergeometric (10, 0) on); a float index raises TypeError."""
     x = Fraction(1, 3)
     pairs = [(n, k) for n in range(31) for k in range(n + 1)]
+    rules = [(n, k) for n, k in pairs if k >= 1][::5]
     calls = [  # (name, call, its (n, k) pairs)
         ("alp_coefficients", alp_coefficients, pairs),
         ("rodrigues", alp_coefficients_rodrigues, pairs),
@@ -185,6 +190,9 @@ def test_index_kinds():
         ("verify_orthogonality", lambda n, k: verify_orthogonality(n), [(n, 0) for n in range(31)]),
         ("verify_aux_orthogonality", verify_aux_orthogonality, [(n, 30) for n in range(31)]),
         ("expand_in_alp", lambda n, k: expand_in_alp(Polynomial(range(31)), n, k), pairs[::7]),
+        ("nodes", nodes, rules),
+        ("weights", lambda n, k: weights(n, k, [0.25, 0.5]), rules),
+        ("build_rule", build_rule, rules),
     ]
     for name, call, args in calls:
         for n, k in args:
@@ -606,17 +614,26 @@ def test_array_path_accuracy_on_float_exact_members():
     # compensated Horner on the deflated coefficients, times x^k: within
     # 1.1e-15 of the exact value, relative to max(1, |P|), near both ends
     # too. Just below 1 an uncompensated x^k would add up to ~k/2 ulps, so
-    # the high k also get a dense set there. The oracle is alp_eval_exact
+    # the high k also get a dense set there. The oracle is the exact member
+    # evaluated in integers: at x = p/q, q^n P_nk(x) = sum_i c_i p^i q^(n-i),
+    # whose terms are built once per order and point, and each relative
+    # error is one correctly rounded integer division, the float of the
+    # Fraction |v - P| / max(1, |P|)
     near_ends = [5e-324, 1e-16, 4e-16, 1e-15, 1.0 - 1e-15, 1.0 - 4e-16, 1.0 - 1.1e-16]
     grid = np.concatenate((_grid_with_ends(1202, 32), near_ends))
     dense = np.concatenate((grid, 0.99 + 0.01 * np.random.default_rng(1205).random(128)))
+    ratios = [x.as_integer_ratio() for x in dense.tolist()]
     worst = 0.0
     for n in range(41):
+        # dense starts with grid, so an order's terms cover every k's points
+        terms = [[p**i * q ** (n - i) for i in range(n + 1)] for p, q in ratios[: len(dense if n >= 30 else grid)]]
         for k in range(family(n).kstar, n + 1):
             xs = dense if k >= 30 else grid
-            for x, v in zip(xs.tolist(), alp_eval(n, k, xs).tolist()):
-                exact = alp_eval_exact(n, k, x)
-                worst = max(worst, float(abs(Fraction(v) - exact) / max(1, abs(exact))))
+            coeffs = alp_coefficients(n, k).coeffs
+            for point_terms, v in zip(terms, alp_eval(n, k, xs).tolist()):
+                num, den = sum(map(mul, coeffs, point_terms)), point_terms[0]
+                a, b = v.as_integer_ratio()
+                worst = max(worst, abs(a * den - num * b) / (b * max(den, abs(num))))
     assert worst <= 1.1e-15
 
 
@@ -650,8 +667,10 @@ def test_family_cache_and_large_n_path():
 
 
 def _float_exact(n, k):
-    # the uncached body, so the check leaves alp_coefficients' cache as it is
-    return all(abs(c) <= 2**53 for c in alp_coefficients.__wrapped__(n, k).coeffs)
+    # the hypergeometric route: uncached, so the check leaves alp_coefficients'
+    # cache as it is, and one term ratio a coefficient where the binomial body
+    # takes two comb calls (1.0 against 2.6 s for this table)
+    return all(abs(c) <= 2**53 for c in alp_coefficients_hypergeometric(n, k).coeffs)
 
 
 def test_float_exactness_is_monotone_in_k():
