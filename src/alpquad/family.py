@@ -33,6 +33,7 @@ from .jacobi import (
     _hypergeometric_terms,
     _jacobi_derivative,
     _jacobi_pair,
+    _ldexp,
     jacobi_shifted_coefficients,
 )
 
@@ -280,18 +281,18 @@ class AlpFamily:
         The sum is the reproducing kernel of the members kmin..n, computed
         by the Jacobi-kernel recurrence that ``quadrature.weights`` inverts
         (n-kmin steps; no member is evaluated), so 1 / weight_denominator
-        is the rule's weight bit for bit, at any input. A scalar x runs as
-        a one-element array, since numpy takes x^{2k} from libm's pow on a
-        scalar and from its SIMD pow on an array. Any finite x is accepted;
-        a non-finite one raises ValueError. This loads numpy, and a scalar
-        x gives an ``np.float64``.
+        is the rule's weight bit for bit, at any input: both run the kernel
+        point by point on Python floats, x^{2k} from libm's pow. Any finite x
+        is accepted, and a value beyond the double range comes back as inf;
+        a non-finite x raises ValueError. This loads numpy: a scalar x gives
+        an ``np.float64``, and an array a float64 array of its shape.
         """
         import numpy as np
 
         n, kmin = _check_index(self.n, kmin)
         x = _finite_points(x)
-        v, e = _alp_kernel(n, kmin, np.reshape(x, -1) if np.ndim(x) == 0 else x)
-        return np.ldexp(v, e).reshape(np.shape(x))[()]
+        dens = [_ldexp(v, e) for v, e in _alp_kernel(n, kmin, np.ravel(x).tolist())]
+        return np.array(dens).reshape(np.shape(x))[()]
 
 
 @lru_cache(maxsize=None)  # a family holds at most 23 float tuples (n = 22), about 5 KB

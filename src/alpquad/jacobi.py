@@ -15,10 +15,16 @@ is integral.
 Integer alpha may be negative here: the formal series extension with
 generalized binomial prefactor is what the reciprocity construction needs.
 
-The float side also owns the Jacobi matrix of P^{(a,0)}, which gives the
-quadrature nodes, and the one routine that sums the reproducing kernel
-sum_{l=k}^{n} (2l+1) P_nl(x)^2 of the family: the denominator of every
-quadrature weight and of ``AlpFamily.weight_denominator``.
+The float side also owns the Jacobi matrix of P^{(a,0)} and its
+eigenvalues, which give the quadrature nodes, and the one routine that sums
+the reproducing kernel sum_{l=k}^{n} (2l+1) P_nl(x)^2 of the family: the
+denominator of every quadrature weight and of
+``AlpFamily.weight_denominator``. Both run on Python floats, with no numpy
+call: the eigenvalues by LAPACK's root-free QL iteration (dsterf) written
+out, the kernel point by point. Over the rules with n <= 30 the kernel
+loop is faster than numpy's calls on arrays of 1 to 30 points, and the
+eigenvalues are slower than ``eigvalsh``; a process that builds a rule no
+longer imports numpy, which costs more than either.
 
 The recurrence factors of each (alpha, beta) depend only on the step
 index, so each is computed once, in a list cached per (alpha, beta) that
@@ -260,40 +266,145 @@ def _jacobi_matrix(m: int, a: int):
     return diag, off
 
 
-def _alp_kernel(n: int, k: int, x):
-    """sum_{l=k}^{n} (2l+1) P_nl(x)^2 as (v, e), the value being v 2^e.
+# LAPACK dsterf's constants: its eps is 2^-53, and it allows 30 QL sweeps a row in all
+_EPS2 = 2.0**-106
+_SWEEPS_PER_ROW = 30
+
+
+def _jacobi_eigenvalues(diag, off):
+    """Eigenvalues of the symmetric tridiagonal matrix (diag, off), ascending; None if they do not converge.
+
+    This is LAPACK's dsterf, the root-free QL iteration with implicit shifts
+    (Reinsch, CACM Algorithm 464, 1973) that ``numpy.linalg.eigvalsh`` runs
+    on a tridiagonal matrix, on Python floats. It works on the squared
+    off-diagonal e, takes its shift from the leading 2 x 2 block, deflates
+    where e_i <= eps^2 |d_i d_{i+1}| and solves a remaining 2 x 2 block in
+    closed form. A matrix whose last diagonal entry is the smaller in
+    magnitude is run reversed, which is dsterf's QR branch; dsterf makes
+    that choice per unreduced block, and a Jacobi matrix, with no zero
+    off-diagonal, is one block. dsterf's scaling is left out, since a
+    Jacobi matrix has its entries in [-1, 1]. Only +, -, *, / and
+    math.sqrt are used, so the eigenvalues follow from IEEE arithmetic
+    alone. After 30 sweeps per row in all it gives up and returns None.
+    """
+    d = list(diag)
+    e = [b * b for b in off]
+    if len(d) > 1 and abs(d[-1]) < abs(d[0]):
+        d.reverse()
+        e.reverse()
+    e.append(0.0)  # the first write of a sweep that ends at the last row, which is 0
+    size = len(d)
+    # the iterates stay similar to the matrix, so no |d_i| passes twice its
+    # Gershgorin bound g; an e_i above eps^2 (2g)^2 then fails the deflation
+    # test, and comparing with that first skips the product
+    g = max(map(abs, diag), default=0.0) + 2.0 * max(map(abs, off), default=0.0)
+    cut = _EPS2 * 4.0 * g * g
+    budget = _SWEEPS_PER_ROW * size
+    l = 0
+    while l < size:
+        m = l
+        while m < size - 1 and (e[m] > cut or e[m] > _EPS2 * abs(d[m] * d[m + 1])):
+            m += 1
+        if m == l:  # d[l] has converged
+            l += 1
+        elif m == l + 1:
+            d[l], d[l + 1] = _eigenvalues_2x2(d[l], math.sqrt(e[l]), d[l + 1])
+            l += 2
+        elif budget == 0:
+            return None
+        else:  # one shifted QL sweep over d[l..m]
+            budget -= 1
+            p = d[l]
+            root = math.sqrt(e[l])
+            sigma = (d[l + 1] - p) / (2.0 * root)
+            w = abs(sigma)  # r = sqrt(sigma^2 + 1) as LAPACK's dlapy2 forms it
+            if w > 1.0:
+                z = 1.0 / w
+                r = w * math.sqrt(1.0 + z * z)
+            else:
+                r = math.sqrt(1.0 + w * w)
+            sigma = p - root / (sigma + (r if sigma >= 0.0 else -r))
+            c, s = 1.0, 0.0
+            gamma = d[m] - sigma
+            p = gamma * gamma
+            for i in range(m - 1, l - 1, -1):
+                bb = e[i]
+                r = p + bb
+                e[i + 1] = s * r
+                oldc, c, s = c, p / r, bb / r
+                oldgam, alpha = gamma, d[i]
+                gamma = c * (alpha - sigma) - s * oldgam
+                d[i + 1] = oldgam + (alpha - gamma)
+                p = gamma * gamma / c if c != 0.0 else oldc * bb
+            e[l] = s * p
+            d[l] = sigma + gamma
+    return sorted(d)
+
+
+def _eigenvalues_2x2(a, b, c):
+    """The eigenvalues of [[a, b], [b, c]], the larger in magnitude first (LAPACK's dlae2)."""
+    sm, adf, ab = a + c, abs(a - c), abs(b + b)
+    big, small = (a, c) if abs(a) > abs(c) else (c, a)
+    if adf > ab:
+        u = ab / adf
+        rt = adf * math.sqrt(1.0 + u * u)
+    elif adf < ab:
+        u = adf / ab
+        rt = ab * math.sqrt(1.0 + u * u)
+    else:
+        rt = ab * math.sqrt(2.0)
+    if sm < 0.0:
+        rt1 = 0.5 * (sm - rt)
+    elif sm > 0.0:
+        rt1 = 0.5 * (sm + rt)
+    else:
+        return 0.5 * rt, -0.5 * rt
+    return rt1, (big / rt1) * small - (b / rt1) * b
+
+
+def _ldexp(v: float, e: int) -> float:
+    """v 2^e, and inf where that passes the double range, as numpy's ldexp gives (math.ldexp raises there)."""
+    try:
+        return math.ldexp(v, e)
+    except OverflowError:
+        return math.copysign(math.inf, v)
+
+
+def _alp_kernel(n: int, k: int, points) -> list[tuple[float, int]]:
+    """sum_{l=k}^{n} (2l+1) P_nl(x)^2 at each float x of points, as pairs (v, e), the value being v 2^e.
 
     The sum is the reproducing kernel of span{P_nl : k <= l <= n}, which
     is x^k times the polynomials of degree <= n-k, so it equals
     (2k+1) x^{2k} sum_{i=0}^{n-k} q_i(t)^2 with t = 1-2x and q_i the
     orthonormal Jacobi polynomials for (1-t)^{2k}, scaled to q_0 = 1
-    (Gautschi, Orthogonal Polynomials, 2004, sections 1.3 and 3.1). The q_i
-    come from their three-term recurrence over all points at once, in n-k
-    steps without evaluating any member of the family, rescaled by powers
-    of two so the sum cannot overflow, and x^{2k} is applied as
-    mant^{2k} * 2^{2k e} with mant, e = frexp(x), so it cannot underflow
-    by itself. mant^{2k} stays a normal double only for k <= 511; past
-    that, values at points just above a power of two lose accuracy. x is
-    a finite float or a double array, as ``_finite_points`` returns it; v
-    and e are numpy values of its shape.
+    (Gautschi, Orthogonal Polynomials, 2004, sections 1.3 and 3.1). The
+    Jacobi matrix is built once; the q_i then come from its three-term
+    recurrence point by point, in n-k steps of Python float arithmetic
+    without evaluating any member of the family, rescaled by powers of two
+    so the sum cannot overflow. x^{2k} is applied as mant^{2k} * 2^{2k e}
+    with mant, e = frexp(x), so it cannot underflow by itself; mant^{2k} is
+    libm's pow. mant^{2k} stays a normal double only for k <= 511; past
+    that, values at points just above a power of two lose accuracy.
     """
-    import numpy as np
-
     diag, off = _jacobi_matrix(n - k + 1, 2 * k)
-    t = 1.0 - 2.0 * x
-    prev, q = 0.0 * t, 1.0 + 0.0 * t
-    total, scale = q, 0
-    steps = zip(diag, [0.0] + off, off)
-    for j, (d, b_prev, b) in enumerate(steps, start=1):
-        prev, q = q, ((t - d) * q - b_prev * prev) / b
-        total = total + q * q
-        if j % 16 == 0:
-            # |q| grows by less than 3/b per step on [0, 1], so 16 steps
-            # from a sum below 2 stay far inside the double range; near
-            # x = 0 the sum itself would overflow from n = 372 without this
-            # rescaling
-            h = np.frexp(total)[1] // 2
-            prev, q = np.ldexp(prev, -h), np.ldexp(q, -h)
-            total, scale = np.ldexp(total, -2 * h), scale + 2 * h
-    mant, e = np.frexp(x)
-    return (2 * k + 1) * mant ** (2 * k) * total, 2 * k * e + scale
+    steps = list(zip(diag, [0.0] + off, off))
+    chunks = [steps[i : i + 16] for i in range(0, len(steps), 16)]
+    out = []
+    for x in points:
+        t = 1.0 - 2.0 * x
+        prev, q, total, scale = 0.0, 1.0, 1.0, 0
+        for chunk in chunks:
+            for d, b_prev, b in chunk:
+                prev, q = q, ((t - d) * q - b_prev * prev) / b
+                total += q * q
+            if len(chunk) == 16:
+                # |q| grows by less than 3/b per step on [0, 1], so 16 steps
+                # from a sum below 2 stay far inside the double range; near
+                # x = 0 the sum itself would overflow from n = 372 without this
+                # rescaling
+                h = math.frexp(total)[1] // 2
+                prev, q = math.ldexp(prev, -h), math.ldexp(q, -h)
+                total, scale = math.ldexp(total, -2 * h), scale + 2 * h
+        mant, e = math.frexp(x)
+        out.append(((2 * k + 1) * mant ** (2 * k) * total, 2 * k * e + scale))
+    return out

@@ -9,8 +9,11 @@ The deflated polynomial P_{n,k-1} / x^{k-1} is the Jacobi polynomial
 P^{(2k-1,0)}_{n-k+1}(1-2x), so the rule is the (n-k+1)-point Gauss-Jacobi
 rule for the weight x^{2k-1} on [0, 1]; that is why the window starts at
 2k-1. Nodes are the eigenvalues of the closed-form tridiagonal Jacobi
-matrix (Golub & Welsch, Math. Comp. 23, 1969), polished by one Newton step
-from a single pass of the Jacobi three-term recurrence.
+matrix (Golub & Welsch, Math. Comp. 23, 1969), found by LAPACK's root-free
+QL iteration written out on Python floats, and each is polished by one
+Newton step from a single pass of the Jacobi three-term recurrence. Rules
+are built on Python floats throughout, without numpy, so their bits follow
+from (n, k), IEEE double arithmetic and libm's pow alone.
 
 The weight denominator is the reproducing kernel of span{P_nl : k <= l <= n}
 = x^k times the polynomials of degree <= n-k, so it is also x^{2k} times the
@@ -33,7 +36,7 @@ from typing import Callable, Sequence
 
 from .exactpoly import Polynomial, inner_product
 from .family import alp_coefficients
-from .jacobi import _alp_kernel, _jacobi_matrix, _jacobi_pair
+from .jacobi import _alp_kernel, _jacobi_eigenvalues, _jacobi_matrix, _jacobi_pair, _ldexp
 
 __all__ = [
     "RootFindingError",
@@ -81,11 +84,10 @@ def nodes(n: int, k: int) -> tuple[float, ...]:
     nodes are the Gauss-Jacobi nodes for the weight x^{2k-1} on [0, 1].
     They are found as the eigenvalues of the symmetric tridiagonal Jacobi
     matrix (Golub-Welsch), whose entries come as Python floats, exact
-    until one division and one square root; only its diagonal and
-    subdiagonal are written, since ``eigvalsh`` reads the lower triangle.
-    The eigenvalues are mapped from t to x = (1-t)/2 and polished by one
-    Newton step on the Jacobi recurrence, and the checks run on Python
-    lists. One pass of the recurrence gives P_m and P_{m-1}, and the
+    until one division and one square root, by the QL iteration of
+    ``jacobi._jacobi_eigenvalues``. Each eigenvalue is mapped from t to
+    x = (1-t)/2 and polished by one Newton step on the Jacobi recurrence,
+    node by node. One pass of the recurrence gives P_m and P_{m-1}, and the
     derivative comes from the identity
     (2m+a)(1-t^2) P_m' = m(a - (2m+a)t) P_m + 2m(m+a) P_{m-1} (Szego,
     Orthogonal Polynomials, section 4.5). At a node P_m is nearly 0, so the
@@ -95,28 +97,25 @@ def nodes(n: int, k: int) -> tuple[float, ...]:
     RootFindingError rather than ever returning a node set that fails its
     checks.
     """
-    import numpy as np
-
     n, k = _check_rule_index(n, k)
     m, a = n - k + 1, 2 * k - 1
-    diag, off = _jacobi_matrix(m, a)
-    # eigvalsh reads the lower triangle only
-    mat = np.zeros((m, m))
-    flat = mat.reshape(-1)
-    flat[:: m + 1] = diag
-    flat[m :: m + 1] = off
-    t = np.linalg.eigvalsh(mat)
-    x = np.sort((1.0 - t) / 2.0)
-    t = 1.0 - 2.0 * x
-    # Newton on q(x) = P_m(1-2x): q'(x) = -2 P_m'(t), so the step is
-    # P_m / (2 P_m') with P_m' from the identity above
-    p, q = _jacobi_pair(m, a, 0, t)
+    ts = _jacobi_eigenvalues(*_jacobi_matrix(m, a))
+    if ts is None:
+        raise RootFindingError(f"eigenvalues did not converge for n={n}, k={k}")
     s = 2.0 * m + a
-    step = p * (s * (1.0 - t) * (1.0 + t)) / (2.0 * (m * (a - s * t) * p + 2.0 * m * (m + a) * q))
-    xs = (x + step).tolist()
-    if not all(abs(v) <= _MAX_CORRECTION for v in step.tolist()):  # max() would let a NaN through
-        worst = float(np.max(np.abs(step)))
-        raise RootFindingError(f"Newton correction {worst:.3e} above tolerance for n={n}, k={k}")
+    xs = []
+    for t in reversed(ts):
+        x = (1.0 - t) / 2.0
+        t = 1.0 - 2.0 * x
+        # Newton on q(x) = P_m(1-2x): q'(x) = -2 P_m'(t), so the step is
+        # P_m / (2 P_m') with P_m' from the identity above
+        p, q = _jacobi_pair(m, a, 0, t)
+        step = p * (s * (1.0 - t) * (1.0 + t)) / (2.0 * (m * (a - s * t) * p + 2.0 * m * (m + a) * q))
+        if not abs(step) <= _MAX_CORRECTION:  # a NaN step fails too
+            raise RootFindingError(
+                f"Newton correction {abs(step):.3e} above tolerance at node {len(xs) + 1} for n={n}, k={k}"
+            )
+        xs.append(x + step)
     if not all(0.0 < v < 1.0 for v in xs):
         raise RootFindingError(f"a node escaped (0,1) at n={n}, k={k}")
     if not all(u < v for u, v in zip(xs, xs[1:])):
@@ -128,29 +127,34 @@ def weights(n: int, k: int, rule_nodes: Sequence[float]) -> tuple[float, ...]:
     """Weights w_j = 1 / sum_{l=k}^{n} (2l+1) P_nl(x_j)^2, all positive.
 
     The sum comes from the reproducing-kernel recurrence of
-    ``alpquad.jacobi`` (n-k vectorised steps, rescaled by powers of two)
-    and is inverted before its power-of-two scale is applied, so neither
-    step overflows or underflows by itself. Past k = 511, weights at points
-    just above a power of two lose accuracy. Any point of (0, 1) may be
-    given, not only the nodes; a point outside it (NaN and +-inf included)
-    raises ValueError naming the first such point, and a weight beyond the
-    double range comes back as inf. The nodes are cast to float64 by the
-    float layer's rule: bool, integer and float nodes are cast, and so are
-    objects that are all real numbers (Fractions, say); any other kind
-    (complex, str) raises TypeError naming the dtype.
+    ``alpquad.jacobi`` (n-k steps per node on Python floats, rescaled by
+    powers of two) and is inverted before its power-of-two scale is
+    applied, so neither step overflows or underflows by itself. Past
+    k = 511, weights at points just above a power of two lose accuracy.
+    Any point of (0, 1) may be given, not only the nodes; a point outside
+    it (NaN and +-inf included) raises ValueError naming the first such
+    point, and a weight beyond the double range comes back as inf. A list
+    or tuple of Python floats is taken as it is, without numpy. Other nodes
+    are cast to float64 by the float layer's rule: bool, integer and float
+    nodes are cast, and so are objects that are all real numbers
+    (Fractions, say); any other kind (complex, str) raises TypeError
+    naming the dtype.
     """
-    import numpy as np
-
     n, k = _check_rule_index(n, k)
-    x = np.asarray(rule_nodes)
-    if x.dtype.kind not in "biuf" and not (x.dtype.kind == "O" and all(isinstance(v, numbers.Real) for v in x.flat)):
-        raise TypeError(f"nodes must be real numbers, got an array of dtype {x.dtype}")
-    x = x.astype(np.float64, copy=False)
-    for i, v in enumerate(x.tolist()):
+    if isinstance(rule_nodes, (list, tuple)) and all(type(v) is float for v in rule_nodes):
+        xs = rule_nodes
+    else:
+        import numpy as np
+
+        x = np.asarray(rule_nodes)
+        if x.dtype.kind not in "biuf" and not (x.dtype.kind == "O" and all(isinstance(v, numbers.Real) for v in x.flat)):
+            raise TypeError(f"nodes must be real numbers, got an array of dtype {x.dtype}")
+        xs = x.astype(np.float64, copy=False).tolist()
+    for i, v in enumerate(xs):
         if not 0.0 < v < 1.0:
             raise ValueError(f"node {rule_nodes[i]} outside the open interval (0,1)")
-    v, e = _alp_kernel(n, k, x)
-    return tuple(np.ldexp(1.0 / v, -e).tolist())
+    # a list first: tuples grown from a generator left the resident set 4.7 MB higher after 300 sweeps
+    return tuple([_ldexp(1.0 / v, -e) if v else math.inf for v, e in _alp_kernel(n, k, xs)])
 
 
 def build_rule(n: int, k: int) -> QuadratureRule:

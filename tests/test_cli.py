@@ -14,6 +14,7 @@ import pytest
 import alpquad
 from alpquad import cli, verify
 from alpquad.quadrature import RootFindingError
+from test_quadrature import RULE_STREAM_SHA256
 
 
 def run_cli(capsys, *argv):
@@ -379,23 +380,39 @@ def test_module_entry_point_matches_main(capsys, argv):
 
 
 def test_numpy_stays_off_the_import_path():
-    # coeffs, eval and verify run on the exact core and scalar floats alone;
-    # only node finding needs numpy (eigvalsh)
+    # every command runs on the exact core and Python floats alone: rules
+    # take their eigenvalues from jacobi's QL iteration, not from eigvalsh
     script = """
 import contextlib, io, sys
 import alpquad, alpquad.cli
-with contextlib.redirect_stdout(io.StringIO()):
-    for argv in (["coeffs", "--n", "30", "--k", "7"], ["eval", "--n", "30", "--k", "3", "--x", "0.3"],
-                 ["eval", "--n", "20", "--k", "3", "--x", "0.3"], ["verify", "--max-n", "2"]):
+commands = [["coeffs", "--n", "30", "--k", "7"], ["eval", "--n", "30", "--k", "3", "--x", "0.3"],
+            ["eval", "--n", "20", "--k", "3", "--x", "0.3"], ["verify", "--max-n", "2"],
+            ["integrate", "--n", "10", "--k", "3", "--f", "poly:0,0,0,0,0,1"], ["integrate", "--n", "4", "--k", "1", "--f", "exp"]]
+commands += [["rule", "--n", "30", "--k", "1", "--format", fmt] for fmt in ("text", "csv", "json")]
+for argv in commands:
+    with contextlib.redirect_stdout(io.StringIO()):
         assert alpquad.cli.main(argv) == 0
-print("numpy" in sys.modules)
-with contextlib.redirect_stdout(io.StringIO()):
-    assert alpquad.cli.main(["rule", "--n", "3", "--k", "1"]) == 0
-print("numpy" in sys.modules)
+    print("numpy" in sys.modules)
 """
     proc = run_fresh("-c", script)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == [b"False", b"True"]
+    assert proc.stdout.split() == [b"False"] * 9
+
+
+def test_rules_build_where_numpy_cannot_be_imported():
+    # numpy blocked outright: every rule with n <= 30 keeps the pinned bits,
+    # and weights() takes a list of floats without it
+    script = """
+import hashlib, sys
+sys.modules["numpy"] = None
+from alpquad import build_rule, rule_to_json, weights
+stream = "".join(rule_to_json(build_rule(n, k)) + "\\n" for n in range(1, 31) for k in range(1, n + 1))
+print(hashlib.sha256(stream.encode()).hexdigest())
+print(all(0.0 < w < 1.0 for w in weights(3, 1, [0.3, 0.6])))
+"""
+    proc = run_fresh("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [RULE_STREAM_SHA256.encode(), b"True"]
 
 
 def test_array_made_after_import_is_checked():

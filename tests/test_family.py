@@ -587,8 +587,8 @@ def test_weight_denominator_matches_exact_sum():
 
 
 def test_weight_denominator_inverts_to_rule_weights():
-    # weights() and weight_denominator run the one kernel, so a weight is
-    # the reciprocal of the denominator bit for bit
+    # weights() and weight_denominator run the one kernel, point by point,
+    # so a weight is the reciprocal of the denominator bit for bit
     for n in range(1, 31):
         fam = family(n)
         for k in range(1, n + 1):
@@ -598,8 +598,9 @@ def test_weight_denominator_inverts_to_rule_weights():
 
 
 def test_scalar_weight_denominator_inverts_to_rule_weights():
-    # a scalar runs as a one-element array, so it takes numpy's array pow
-    # and misses none of the 4,960 weights with n <= 30, as an array does
+    # a scalar point runs through the same per-point kernel as the nodes of
+    # weights(), libm's pow included, so it misses none of the 4,960 weights
+    # with n <= 30, as an array does
     for n in range(1, 31):
         fam = family(n)
         for k in range(1, n + 1):

@@ -1,5 +1,7 @@
 """Jacobi helpers: exact shifted expansions and recurrence evaluation."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -173,6 +175,55 @@ def test_jacobi_matrix_keeps_the_bits_of_the_array_form():
         want_diag, want_off = _numpy_jacobi_matrix(m, a)
         assert np.array(diag, dtype=float).tobytes() == want_diag.tobytes(), (m, a)
         assert np.array(off, dtype=float).tobytes() == want_off.tobytes(), (m, a)
+
+
+def _eigvalsh(diag, off):
+    """numpy.linalg.eigvalsh of the tridiagonal matrix: the test-only reference for _jacobi_eigenvalues."""
+    return np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+
+
+def test_eigenvalues_match_eigvalsh():
+    # every Jacobi matrix with m <= 45 and a <= 89, and the (m, a) of the
+    # seven pinned large rules, within 1e-15 of eigvalsh and ascending.
+    # Measured: with numpy 2.4.6 and its OpenBLAS all 94,204 eigenvalues are
+    # equal bit for bit, since both run dsterf on the same entries; the same
+    # iteration without the QR branch (never run reversed) is 4.2e-15 off at
+    # (101, 199)
+    grid = [(m, a) for m in range(1, 46) for a in range(90)]
+    grid += [(100, 1), (51, 99), (200, 1), (101, 199), (400, 1), (201, 399), (1, 799)]
+    for m, a in grid:
+        diag, off = _jacobi_matrix(m, a)
+        got = jacobi._jacobi_eigenvalues(diag, off)
+        assert got == sorted(got), (m, a)
+        assert np.max(np.abs(np.array(got) - _eigvalsh(diag, off))) <= 1e-15, (m, a)
+
+
+def test_eigenvalues_of_one_and_two_rows():
+    # one row is its own eigenvalue. Two rows take dlae2's closed form, and
+    # each eigenvalue is within 2^-52 of a true eigenvalue of the float
+    # matrix: the characteristic polynomial, in exact arithmetic, changes
+    # sign across that interval (measured worst 1.8e-16; the smaller
+    # eigenvalue cancels, so one ulp of its own is too tight)
+    eps = Fraction(1, 2**52)
+    for a in range(90):
+        diag, off = _jacobi_matrix(1, a)
+        assert jacobi._jacobi_eigenvalues(diag, off) == diag
+        diag, off = _jacobi_matrix(2, a)
+        d0, d1, b = (Fraction(v) for v in (*diag, *off))
+        for lam in jacobi._jacobi_eigenvalues(diag, off):
+            below, above = Fraction(lam) - eps, Fraction(lam) + eps
+            assert ((d0 - below) * (d1 - below) - b * b) * ((d0 - above) * (d1 - above) - b * b) <= 0, (a, lam)
+
+
+def test_eigenvalues_split_at_a_zero_off_diagonal():
+    # a zero off-diagonal splits the matrix into two blocks of four rows
+    diag = [0.3, -0.2, 0.5, 0.1, -0.6, 0.05, 0.2, -0.1]
+    off = [0.1, 0.3, 0.25, 0.0, 0.2, 0.15, 0.4]
+    got = jacobi._jacobi_eigenvalues(diag, off)
+    assert np.max(np.abs(np.array(got) - _eigvalsh(diag, off))) <= 1e-15
+    # the fake matrices of the escaped and repeated eigenvalue tests
+    assert jacobi._jacobi_eigenvalues([0.0, 1.5], [0.0]) == [0.0, 1.5]
+    assert jacobi._jacobi_eigenvalues([0.25, 0.25], [0.0]) == [0.25, 0.25]
 
 
 def _stepwise_eval(m, alpha, beta, t):

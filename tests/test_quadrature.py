@@ -23,6 +23,7 @@ from alpquad import (
     build_rule,
     exactness_report,
     expand_in_alp,
+    family,
     integrate,
     jacobi_eval,
     jacobi_shifted_coefficients,
@@ -31,8 +32,8 @@ from alpquad import (
     rule_to_json,
     weights,
 )
-from alpquad import quadrature
-from alpquad.jacobi import _jacobi_matrix, _jacobi_pair, jacobi_derivative_eval
+from alpquad import jacobi, quadrature
+from alpquad.jacobi import _jacobi_eigenvalues, _jacobi_matrix, _jacobi_pair, jacobi_derivative_eval
 from exact_kernel import exact_kernel_sums
 
 # frozen 60-digit references (nodes ascending, weights in node order)
@@ -141,21 +142,32 @@ def test_nodes_reject_a_repeated_eigenvalue(monkeypatch):
 def test_nodes_reject_a_nan_newton_correction(monkeypatch):
     # the NaN sits at the last node, where a max() over the steps would
     # pass it over and leave it to the range check
+    calls = []
+
     def nan_last(m, alpha, beta, t):
+        calls.append(t)
         p, q = _zero_step_pair(m, alpha, beta, t)
-        p[-1] = math.nan
-        return p, q
+        return (math.nan if len(calls) == m else p), q
 
     monkeypatch.setattr(quadrature, "_jacobi_pair", nan_last)
-    with pytest.raises(RootFindingError, match="Newton correction nan"):
+    with pytest.raises(RootFindingError, match="^Newton correction nan above tolerance at node 4 for n=5, k=2$"):
+        nodes(5, 2)
+
+
+def test_nodes_report_eigenvalues_that_do_not_converge(monkeypatch):
+    # with no QL sweep allowed, a matrix past 2 x 2 runs out of its budget;
+    # dsterf allows 30 sweeps a row, and the rules with n <= 30 use 2.1
+    monkeypatch.setattr(jacobi, "_SWEEPS_PER_ROW", 0)
+    assert jacobi._jacobi_eigenvalues(*_jacobi_matrix(5, 3)) is None
+    assert len(nodes(2, 1)) == 2  # one 2 x 2 block needs no sweep
+    with pytest.raises(RootFindingError, match="^eigenvalues did not converge for n=5, k=2$"):
         nodes(5, 2)
 
 
 def _derivative_step_nodes(n, k):
     """nodes(n, k) with the Newton step P_m / (2 P_m') taken from jacobi_eval and jacobi_derivative_eval."""
     m, a = n - k + 1, 2 * k - 1
-    diag, off = _jacobi_matrix(m, a)
-    t = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    t = np.array(_jacobi_eigenvalues(*_jacobi_matrix(m, a)))
     x = np.sort((1.0 - t) / 2.0)
     t = 1.0 - 2.0 * x
     return x + jacobi_eval(m, a, 0, t) / (2.0 * jacobi_derivative_eval(m, a, 0, t))
@@ -168,12 +180,17 @@ def test_nodes_keep_the_bits_of_the_derivative_step(n, k):
     assert np.array(nodes(n, k)).tobytes() == _derivative_step_nodes(n, k).tobytes()
 
 
+# The rule pins below depend on CPython's float arithmetic (IEEE +, -, *, /
+# and sqrt) and on libm's pow, which forms x^{2k} in the weights; glibc's
+# pow is correctly rounded. No LAPACK or numpy routine reaches a node or a
+# weight.
+RULE_STREAM_SHA256 = "8d48f0b438ea277611eca3e0a5346fd847909eb37fd3178a5786bc10b27920b8"
+
+
 def test_rule_stream_is_pinned():
-    # every rule with n <= 30, as rule_to_json writes it; taken before the
-    # recurrence factors were cached
+    # every rule with n <= 30, as rule_to_json writes it
     stream = "".join(rule_to_json(build_rule(n, k)) + "\n" for n in range(1, 31) for k in range(1, n + 1))
-    digest = hashlib.sha256(stream.encode()).hexdigest()
-    assert digest == "9d2faf6339ee08015d486c7571820b9432a829d6fe09c57bf3c0d0f0cfb4d457"
+    assert hashlib.sha256(stream.encode()).hexdigest() == RULE_STREAM_SHA256
 
 
 def test_large_rules_are_pinned():
@@ -182,7 +199,7 @@ def test_large_rules_are_pinned():
     cases = [(100, 1), (100, 50), (200, 1), (200, 100), (400, 1), (400, 200), (400, 400)]
     stream = "".join(rule_to_json(build_rule(n, k)) + "\n" for n, k in cases)
     digest = hashlib.sha256(stream.encode()).hexdigest()
-    assert digest == "53f1b05e592404b55814c673e3d10f87eb6886751ff6f26dd880044126f91a94"
+    assert digest == "07dbb963da08a1977e23acaa739ee1bce5d29cc57669eaee35671049f87b8334"
 
 
 def test_weights_known_values():
@@ -229,6 +246,17 @@ def test_weights_reject_outside_nodes():
     ]:
         with pytest.raises(TypeError, match=f"^nodes must be real numbers, got an array of dtype {dtype}$"):
             weights(3, 1, bad)
+
+
+def test_weights_beyond_the_double_range_are_inf():
+    # 1 / (5 x^4) at x = 1e-300 is about 2e1199: math.ldexp raises there,
+    # and the weight comes back as inf with no warning (pytest turns a
+    # RuntimeWarning into an error)
+    assert weights(2, 2, [1e-300]) == (math.inf,)
+    assert weights(2, 2, np.array([1e-300, 0.5]))[0] == math.inf
+    # the denominator itself overflows the same way: 5 x^4 at x = 1e100
+    den = family(2).weight_denominator(2, 1e100)
+    assert type(den) is np.float64 and den == math.inf
 
 
 def test_build_rule_rejects_nonfinite_weight(monkeypatch):
