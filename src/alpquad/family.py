@@ -19,6 +19,7 @@ discrepancy itself stays reproducible.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -284,15 +285,19 @@ class AlpFamily:
         is the rule's weight bit for bit, at any input: both run the kernel
         point by point on Python floats, x^{2k} from libm's pow. Any finite x
         is accepted, and a value beyond the double range comes back as inf;
-        a non-finite x raises ValueError. This loads numpy: a scalar x gives
-        an ``np.float64``, and an array a float64 array of its shape.
+        a non-finite x raises ValueError. A point that is not a numpy object
+        gives a Python float. numpy input gives an ``np.float64`` for a
+        scalar and a float64 array of its shape for an array; numpy is
+        looked up in ``sys.modules``, never imported, as in
+        ``jacobi._finite_points``.
         """
-        import numpy as np
-
         n, kmin = _check_index(self.n, kmin)
-        x = _finite_points(x)
-        dens = [_ldexp(v, e) for v, e in _alp_kernel(n, kmin, np.ravel(x).tolist())]
-        return np.array(dens).reshape(np.shape(x))[()]
+        points = _finite_points(x)
+        np = sys.modules.get("numpy")
+        if np is None or not isinstance(x, (np.ndarray, np.generic)):
+            return _ldexp(*_alp_kernel(n, kmin, [points])[0])
+        dens = [_ldexp(v, e) for v, e in _alp_kernel(n, kmin, np.ravel(points).tolist())]
+        return np.array(dens).reshape(np.shape(points))[()]
 
 
 @lru_cache(maxsize=None)  # a family holds at most 23 float tuples (n = 22), about 5 KB

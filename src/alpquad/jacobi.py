@@ -26,6 +26,11 @@ loop is faster than numpy's calls on arrays of 1 to 30 points, and the
 eigenvalues are slower than ``eigvalsh``; a process that builds a rule no
 longer imports numpy, which costs more than either.
 
+No module of the package imports numpy, and it is not a dependency. The
+float evaluators take numpy input when the caller passes it: numpy is
+looked up in ``sys.modules`` (``_finite_points``), so a process that never
+imported numpy, or cannot, runs every scalar path.
+
 The recurrence factors of each (alpha, beta) depend only on the step
 index, so each is computed once, in a list cached per (alpha, beta) that
 serves every degree by its prefix (``_recurrence_factors``). The factors

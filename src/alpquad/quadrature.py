@@ -32,7 +32,7 @@ import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import index
-from typing import Callable, Sequence
+from typing import Callable, Iterable
 
 from .exactpoly import Polynomial, inner_product
 from .family import alp_coefficients
@@ -123,7 +123,7 @@ def nodes(n: int, k: int) -> tuple[float, ...]:
     return tuple(xs)
 
 
-def weights(n: int, k: int, rule_nodes: Sequence[float]) -> tuple[float, ...]:
+def weights(n: int, k: int, rule_nodes: Iterable[float]) -> tuple[float, ...]:
     """Weights w_j = 1 / sum_{l=k}^{n} (2l+1) P_nl(x_j)^2, all positive.
 
     The sum comes from the reproducing-kernel recurrence of
@@ -131,30 +131,33 @@ def weights(n: int, k: int, rule_nodes: Sequence[float]) -> tuple[float, ...]:
     powers of two) and is inverted before its power-of-two scale is
     applied, so neither step overflows or underflows by itself. Past
     k = 511, weights at points just above a power of two lose accuracy.
-    Any point of (0, 1) may be given, not only the nodes; a point outside
-    it (NaN and +-inf included) raises ValueError naming the first such
-    point, and a weight beyond the double range comes back as inf. A list
-    or tuple of Python floats is taken as it is, without numpy. Other nodes
-    are cast to float64 by the float layer's rule: bool, integer and float
-    nodes are cast, and so are objects that are all real numbers
-    (Fractions, say); any other kind (complex, str) raises TypeError
-    naming the dtype.
+    Any point of (0, 1) may be given, not only the nodes, and a weight
+    beyond the double range comes back as inf. The nodes may come in any
+    iterable (a list, a generator, a one-dimensional numpy array) and are
+    taken one by one, with no numpy call: a Python float as it is, any
+    other real number (int, ``Fraction``, a numpy float or integer) as its
+    float. The first node that fails raises, naming it: a node that is not
+    a real number raises TypeError naming its type (complex128 for a
+    numpy complex element), and a point outside (0, 1), NaN and +-inf
+    included, raises ValueError naming the node as given. Input that is
+    not iterable (a 0-d array, a float) raises iteration's own TypeError,
+    and the rows of a 2-D array are nodes that are not real numbers.
     """
     n, k = _check_rule_index(n, k)
-    if isinstance(rule_nodes, (list, tuple)) and all(type(v) is float for v in rule_nodes):
-        xs = rule_nodes
-    else:
-        import numpy as np
-
-        x = np.asarray(rule_nodes)
-        if x.dtype.kind not in "biuf" and not (x.dtype.kind == "O" and all(isinstance(v, numbers.Real) for v in x.flat)):
-            raise TypeError(f"nodes must be real numbers, got an array of dtype {x.dtype}")
-        xs = x.astype(np.float64, copy=False).tolist()
-    for i, v in enumerate(xs):
-        if not 0.0 < v < 1.0:
-            raise ValueError(f"node {rule_nodes[i]} outside the open interval (0,1)")
+    # a Python float of (0, 1), which is every node build_rule passes, skips the call
+    xs = [v if type(v) is float and 0.0 < v < 1.0 else _node(v) for v in rule_nodes]
     # a list first: tuples grown from a generator left the resident set 4.7 MB higher after 300 sweeps
     return tuple([_ldexp(1.0 / v, -e) if v else math.inf for v, e in _alp_kernel(n, k, xs)])
+
+
+def _node(v) -> float:
+    """A node of ``weights`` that is not a Python float of (0, 1), as a float of (0, 1), or the error it raises."""
+    if not isinstance(v, numbers.Real):
+        raise TypeError(f"nodes must be real numbers, got {type(v).__name__}")
+    x = float(v)
+    if not 0.0 < x < 1.0:
+        raise ValueError(f"node {v} outside the open interval (0,1)")
+    return x
 
 
 def build_rule(n: int, k: int) -> QuadratureRule:

@@ -399,20 +399,130 @@ for argv in commands:
     assert proc.stdout.split() == [b"False"] * 9
 
 
-def test_rules_build_where_numpy_cannot_be_imported():
-    # numpy blocked outright: every rule with n <= 30 keeps the pinned bits,
-    # and weights() takes a list of floats without it
-    script = """
-import hashlib, sys
-sys.modules["numpy"] = None
-from alpquad import build_rule, rule_to_json, weights
-stream = "".join(rule_to_json(build_rule(n, k)) + "\\n" for n in range(1, 31) for k in range(1, n + 1))
-print(hashlib.sha256(stream.encode()).hexdigest())
-print(all(0.0 < w < 1.0 for w in weights(3, 1, [0.3, 0.6])))
+# every public entry point that takes scalars, as an expression over `aq`
+# (alpquad), `Fraction` and `jacobi_derivative_eval`
+SCALAR_CALLS = [
+    "aq.alp_coefficients(7, 3)",
+    "aq.alp_coefficients_rodrigues(7, 3)",
+    "aq.alp_coefficients_hypergeometric(7, 3, aq.PUBLISHED)",
+    "aq.alp_coefficients_jacobi(7, 3)",
+    "aq.reciprocity_transform(7, 3)",
+    "aq.recurrence_coefficients(7, 3)",
+    "aq.ode_residual(7, 3)",
+    "aq.aux_coefficients(2, 5)",
+    "aq.jacobi_shifted_coefficients(4, -3, Fraction(1, 2))",
+    "aq.pochhammer(3, 4)",
+    "aq.binomial_general(-3, 2)",
+    "aq.inner_product(aq.alp_coefficients(4, 1), aq.Polynomial([0, 1]))",
+    "aq.alp_coefficients(7, 3)(Fraction(1, 3))",
+    "aq.alp_coefficients(7, 3)(0.3)",
+    "aq.alp_eval_exact(7, 3, 0.3)",
+    "aq.expand_in_alp(aq.Polynomial([0, 0, 1]), 3, 1)",
+    "aq.verify_identity_suite(2)",
+    "aq.verify_orthogonality(3)",
+    "aq.verify_aux_orthogonality(1, 3)",
+    "aq.suite_passes(aq.verify_identity_suite(2))",
+    "aq.expected_to_pass('jacobi_form_published', 3, 1)",
+    "aq.fit_lowering_coefficients(5, 2)",
+    "aq.report_from_json(aq.reports_to_json_lines(aq.verify_orthogonality(1)[:1]))",
+    "aq.alp_eval(22, 0, 0.3)",
+    "aq.alp_eval(30, 3, Fraction(3, 10))",
+    "aq.alp_eval_recurrence(7, 0.3)",
+    "aq.alp_derivative_eval(7, 3, 0.3)",
+    "aq.aux_eval(2, 5, 0.3)",
+    "aq.jacobi_eval(9, 3, 0, 0.3)",
+    "jacobi_derivative_eval(9, 3, 0, 0.3)",
+    "aq.AlpFamily(30).eval(3, 1)",
+    "aq.family(30).weight_denominator(3, 0.3)",
+    "aq.family(30).weight_denominator(3, Fraction(3, 10))",
+    "aq.nodes(7, 3)",
+    "aq.weights(7, 3, [0.3, 0.6])",
+    "aq.weights(7, 3, [Fraction(3, 10), Fraction(3, 5)])",
+    "aq.weights(7, 3, (x for x in (0.3, 0.6)))",
+    "aq.build_rule(7, 3)",
+    "aq.integrate(aq.build_rule(7, 3), lambda x: x**4)",
+    "aq.exactness_report(aq.build_rule(3, 2))",
+    "aq.rule_to_json(aq.build_rule(7, 3))",
+    "aq.rule_to_csv(aq.build_rule(7, 3))",
+    # every rule with n <= 30, as rule_to_json writes it
+    "hashlib.sha256(''.join(aq.rule_to_json(aq.build_rule(n, k)) + '\\n' for n in range(1, 31)"
+    " for k in range(1, n + 1)).encode()).hexdigest()",
+]
+
+SCALAR_CALLS_SCRIPT = """
+import hashlib, json, sys
+{block}
+from fractions import Fraction
+import alpquad as aq
+from alpquad.jacobi import jacobi_derivative_eval
+for expr in json.loads(sys.argv[1]):
+    try:
+        out = repr(eval(expr))
+    except Exception as exc:
+        out = f"{{type(exc).__name__}}: {{exc}}"
+    print(json.dumps([expr, out]))
+print(json.dumps(["numpy", repr(sys.modules.get("numpy"))]))
 """
-    proc = run_fresh("-c", script)
+
+
+def test_rules_build_where_numpy_cannot_be_imported():
+    # numpy blocked outright: every public scalar entry point runs, and gives
+    # the repr, bits included, that it gives in a process that has numpy.
+    # weight_denominator at a scalar returns a float, and weights() takes
+    # any iterable of real numbers without numpy; the last call is the
+    # pinned stream of every rule with n <= 30
+    block = 'sys.modules["numpy"] = None'
+    proc = run_fresh("-c", SCALAR_CALLS_SCRIPT.format(block=block), json.dumps(SCALAR_CALLS))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == [RULE_STREAM_SHA256.encode(), b"True"]
+    blocked = [json.loads(line) for line in proc.stdout.splitlines()]
+    proc = run_fresh("-c", SCALAR_CALLS_SCRIPT.format(block="import numpy"), json.dumps(SCALAR_CALLS))
+    assert proc.returncode == 0, proc.stderr
+    loaded = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert blocked[:-1] == loaded[:-1]
+    assert blocked[-1] == ["numpy", "None"] and loaded[-1][1].startswith("<module 'numpy'")
+    results = dict(blocked)
+    assert not any(out.startswith(("TypeError", "ImportError", "ModuleNotFoundError")) for out in results.values())
+    assert results[SCALAR_CALLS[-1]] == repr(RULE_STREAM_SHA256)
+    assert results["aq.family(30).weight_denominator(3, 0.3)"] == repr(alpquad.family(30).weight_denominator(3, 0.3))
+    assert results["aq.weights(7, 3, [Fraction(3, 10), Fraction(3, 5)])"] == results["aq.weights(7, 3, [0.3, 0.6])"]
+
+
+def test_package_runs_in_a_venv_without_numpy(tmp_path):
+    # numpy is not a declared dependency: the test extra brings it in, and
+    # a fresh venv, which has no numpy, runs the CLI and the scalar API from
+    # the source tree
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    root = os.path.dirname(os.path.dirname(os.path.dirname(alpquad.__file__)))
+    with open(os.path.join(root, "pyproject.toml"), "rb") as f:
+        project = tomllib.load(f)["project"]
+    assert project["dependencies"] == []
+    assert any(re.match(r"numpy\b", req) for req in project["optional-dependencies"]["test"])
+    venv = tmp_path / "venv"
+    subprocess.run([sys.executable, "-m", "venv", "--without-pip", str(venv)], check=True, timeout=120)
+    python = str(venv / ("Scripts" if os.name == "nt" else "bin") / "python")
+    env = {key: value for key, value in os.environ.items() if not key.startswith("PYTHON")}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(alpquad.__file__))
+    script = """
+import importlib.util
+import alpquad as aq
+print(importlib.util.find_spec("numpy") is None)
+print(aq.rule_to_json(aq.build_rule(7, 3)))
+print(repr(aq.weights(7, 3, [0.3, 0.6])))
+print(repr(aq.family(7).weight_denominator(3, 0.3)))
+"""
+    proc = subprocess.run([python, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    want = [
+        "True",
+        alpquad.rule_to_json(alpquad.build_rule(7, 3)),
+        repr(alpquad.weights(7, 3, [0.3, 0.6])),
+        repr(alpquad.family(7).weight_denominator(3, 0.3)),
+    ]
+    assert proc.stdout.splitlines() == want
+    argv = [python, "-m", "alpquad", "rule", "--n", "7", "--k", "3", "--format", "json"]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == alpquad.rule_to_json(alpquad.build_rule(7, 3)) + "\n"
 
 
 def test_array_made_after_import_is_checked():

@@ -600,7 +600,8 @@ def test_weight_denominator_inverts_to_rule_weights():
 def test_scalar_weight_denominator_inverts_to_rule_weights():
     # a scalar point runs through the same per-point kernel as the nodes of
     # weights(), libm's pow included, so it misses none of the 4,960 weights
-    # with n <= 30, as an array does
+    # with n <= 30, as an array does. A Python float gives a float, numpy
+    # input an np.float64
     for n in range(1, 31):
         fam = family(n)
         for k in range(1, n + 1):
@@ -608,7 +609,7 @@ def test_scalar_weight_denominator_inverts_to_rule_weights():
             for x, w in zip(rule.nodes, rule.weights):
                 for point in (x, np.float64(x), np.array(x)):
                     den = fam.weight_denominator(k, point)
-                    assert type(den) is np.float64 and 1.0 / den == w, (n, k, x)
+                    assert type(den) is (float if point is x else np.float64) and 1.0 / den == w, (n, k, x)
 
 
 def test_array_path_accuracy_on_float_exact_members():
