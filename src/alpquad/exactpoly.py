@@ -104,10 +104,10 @@ class Polynomial:
         return 0
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        return _combine((1, 0, self), (1, 0, other))
+        return _combine((1, 0, self), (1, 0, other)) if isinstance(other, Polynomial) else NotImplemented
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return _combine((1, 0, self), (-1, 0, other))
+        return _combine((1, 0, self), (-1, 0, other)) if isinstance(other, Polynomial) else NotImplemented
 
     def __neg__(self) -> "Polynomial":
         return Polynomial([-c for c in self._coeffs])

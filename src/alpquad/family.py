@@ -6,7 +6,9 @@ coefficient; P_nk behaves like x^k near 0. Construction is exact (integer
 coefficients via big-integer binomials; float conversion happens once, at
 evaluation time). Five independent construction routes are provided and
 must agree coefficient-for-coefficient; the verification suite in
-``alpquad.verify`` certifies them.
+``alpquad.verify`` certifies them. The relations among the members (the
+ODE, the three-term recurrence and both differentiation formulas) are data,
+one record each in ``_RELATIONS``, which ``ode_residual`` and the suite read.
 
 Three constants quoted in standard references for this family fail exact
 identity checks (the mu factor of the lowering differentiation formula,
@@ -216,6 +218,64 @@ def recurrence_coefficients(n: int, k: int) -> RecurrenceCoefficients:
     )
 
 
+# The relational identities, one record each: name -> (expected outcome, note template,
+# least k, factors, terms). Term i, a pair (s, m), stands for c_i x^s times member m of
+# the pair, where (c_0, c_1, ...) = factors(r) for its RecurrenceCoefficients r and m is
+# a position in ``_pair_members``; the residual, the sum of the terms, is identically
+# zero iff the relation holds. The note template is formatted with r. An outcome is
+# one of the three below.
+_ALWAYS, _NEVER, _AT_N = "always", "never", "only at k = n"
+_P, _DP, _D2P, _BELOW, _ABOVE = 0, 1, 2, 3, 4
+_RELATIONS = {
+    # x^3 (1-x) P'' + x^2 (2-3x) P' + (n(n+2) x^2 - k(k+1) x) P: the ODE of zeta = x P
+    "ode": (_ALWAYS, "", 0, lambda r: (1, -1, 2, -3, r.n * (r.n + 2), -r.k * (r.k + 1)),
+            ((3, _D2P), (4, _D2P), (2, _DP), (3, _DP), (2, _P), (1, _P))),
+    # alpha x (1-x) P' - (beta - gamma x) P + delta x P_{n,k+1}
+    "derivative_raising": (_ALWAYS, "", 0, lambda r: (r.alpha, -r.alpha, -r.beta, r.gamma, r.delta),
+                           ((1, _DP), (2, _DP), (0, _P), (1, _P), (1, _ABOVE))),
+    # a x P_{n,k-1} - (b - c x) P + d x P_{n,k+1}
+    "recurrence": (_ALWAYS, "", 1, lambda r: (r.a, -r.b, r.c, r.d), ((1, _BELOW), (0, _P), (1, _P), (1, _ABOVE))),
+    # kappa x (x-1) P' - (lam - mu x) P + nu x P_{n,k-1}
+    "derivative_lowering": (_ALWAYS, "corrected mu={r.mu}", 1, lambda r: (r.kappa, -r.kappa, -r.lam, r.mu, r.nu),
+                            ((2, _DP), (1, _DP), (0, _P), (1, _P), (1, _BELOW))),
+    # the same with the published mu
+    "derivative_lowering_published": (
+        _NEVER, "published mu={r.mu_published}, corrected mu={r.mu}; failure expected", 1,
+        lambda r: (r.kappa, -r.kappa, -r.lam, r.mu_published, r.nu),
+        ((2, _DP), (1, _DP), (0, _P), (1, _P), (1, _BELOW))),
+}
+
+
+def _pair_members(n: int, k: int) -> tuple:
+    """The members the relations read: P_nk, P'_nk, P''_nk, P_{n,k-1} and P_{n,k+1}.
+
+    There is no P_{n,-1}: None stands in at k = 0, where no relation reads it.
+    There is no P_{n,n+1} either: at k = n its factors d and delta vanish and
+    the zero polynomial stands in.
+    """
+    p = alp_coefficients(n, k)
+    dp = p.derivative()
+    below = alp_coefficients(n, k - 1) if k else None
+    above = alp_coefficients(n, k + 1) if k < n else Polynomial()
+    return p, dp, dp.derivative(), below, above
+
+
+def _relation_residual(factors, terms, r: RecurrenceCoefficients, members: tuple) -> Polynomial:
+    """The sum of a record's terms at the pair of r, exact, in one ``_combine`` pass."""
+    return _combine(*[(c, s, members[m]) for c, (s, m) in zip(factors(r), terms)])
+
+
+def ode_residual(n: int, k: int) -> Polynomial:
+    """Exact residual of the second-order ODE satisfied by zeta = x P_nk.
+
+    Returns x^3 (1-x) P'' + x^2 (2-3x) P' + (n(n+2) x^2 - k(k+1) x) P, the
+    polynomial x^2 (1-x) zeta'' - x^2 zeta' + ((n+1)^2 x - k(k+1)) zeta, as
+    an exact polynomial; identically zero for every valid (n, k).
+    """
+    n, k = _check_index(n, k)
+    return _relation_residual(*_RELATIONS["ode"][3:], recurrence_coefficients(n, k), _pair_members(n, k))
+
+
 class AlpFamily:
     """The order-n family in float evaluation form, built lazily.
 
@@ -412,19 +472,6 @@ def alp_derivative_eval(n: int, k: int, x: float) -> float:
     if k == 0:
         return -2.0 * dj
     return comp_power(x, k - 1) * (k * _jacobi_pair(n - k, 2 * k + 1, 0, t)[0] - 2.0 * x * dj)
-
-
-def ode_residual(n: int, k: int) -> Polynomial:
-    """Exact residual of the second-order ODE satisfied by zeta = x P_nk.
-
-    Returns x^2 (1-x) zeta'' - x^2 zeta' + ((n+1)^2 x - k(k+1)) zeta as an
-    exact polynomial; identically zero for every valid (n, k).
-    """
-    n, k = _check_index(n, k)
-    zeta = alp_coefficients(n, k).shifted(1)
-    z1 = zeta.derivative()
-    z2 = z1.derivative()
-    return _combine((1, 2, z2), (-1, 3, z2), (-1, 2, z1), ((n + 1) ** 2, 1, zeta), (-k * (k + 1), 0, zeta))
 
 
 def _check_aux_index(n: int, k: int) -> tuple[int, int]:

@@ -2,15 +2,21 @@
 
 Every check here runs in rational arithmetic and produces an
 ``IdentityReport``; a report passes iff the residual is exactly zero, so
-failures are decisive data rather than tolerance judgements. Each
-polynomial residual is one integer linear combination of shifted members
-(``exactpoly._combine``), and a coefficient route is compared with the
-member directly, its difference formed only when it fails. Checks based
-on the published constants (``*_published`` identities) are expected to
-fail wherever the misprint bites; ``expected_to_pass`` encodes that and
+failures are decisive data rather than tolerance judgements.
+
+A relation is one record of ``family._RELATIONS``: its terms, each a
+power of x and a member (P, P', P'', P_{n,k-1} or P_{n,k+1}) scaled by a
+factor read from the pair's ``RecurrenceCoefficients``, summed in one
+integer linear combination (``exactpoly._combine``); its least k; its
+note template; and its expected outcome beside it. A coefficient route
+is one record of ``_ROUTES``, compared with the member directly, its
+difference formed only when it fails. Checks based on the published
+constants (``*_published`` identities) are expected to fail wherever the
+misprint bites; ``expected_to_pass`` reads that from the records (a
+check without one, such as orthogonality, is expected to pass) and
 ``suite_passes`` compares a report stream against it. The lowering
 formula's constants are re-derived by ``fit_lowering_coefficients``, an
-exact linear fit solved by Cramer's rule.
+exact linear fit of the lowering record itself, solved by Cramer's rule.
 
 Reports serialize to JSON lines:
     {"identity": str, "n": int, "k": int, "pass": bool, "residual": str, "note": str}
@@ -33,21 +39,20 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from operator import attrgetter, index, mul
 
-from .exactpoly import Polynomial, Scalar, _combine
+from .exactpoly import Polynomial, Scalar
+from .family import _ALWAYS, _AT_N, _RELATIONS, _pair_members, _relation_residual
 from .family import (
     CORRECTED,
     PUBLISHED,
-    RecurrenceCoefficients,
     alp_coefficients,
     alp_coefficients_hypergeometric,
     alp_coefficients_jacobi,
     alp_coefficients_rodrigues,
     aux_coefficients,
-    ode_residual,
     reciprocity_transform,
     recurrence_coefficients,
 )
@@ -97,8 +102,16 @@ def _report(identity: str, n: int, k: int, residual: str, note: str = "") -> Ide
 
 
 def report_from_json(line: str) -> IdentityReport:
+    """The report of one JSON line, built through ``_report``; raises ValueError,
+    naming the line, when a key is missing or "pass" is not the bool residual == "0"."""
     d = json.loads(line)
-    return IdentityReport(*(d[key] for key in _REPORT_KEYS))
+    missing = [key for key in _REPORT_KEYS if key not in d]
+    if missing:
+        raise ValueError(f"report line {line!r} lacks {', '.join(missing)}")
+    report = _report(d["identity"], d["n"], d["k"], d["residual"], d["note"])
+    if d["pass"] is not report.passed:
+        raise ValueError(f"report line {line!r}: \"pass\" must be {json.dumps(report.passed)} for its residual")
+    return report
 
 
 def reports_to_json_lines(reports) -> str:
@@ -160,60 +173,33 @@ def verify_aux_orthogonality(n: int, kmax: int) -> list[IdentityReport]:
     return _orthogonality_reports(n, aux, ("aux_orthogonality", "aux_sign"), lambda k: k, note)
 
 
-def _recurrence_residual(r: RecurrenceCoefficients, p: Polynomial, below: Polynomial, above: Polynomial) -> Polynomial:
-    # a x P_{n,k-1} - (b - c x) P_nk + d x P_{n,k+1}, exact
-    return _combine((r.a, 1, below), (-r.b, 0, p), (r.c, 1, p), (r.d, 1, above))
-
-
-def _raising_residual(r: RecurrenceCoefficients, p: Polynomial, dp: Polynomial, above: Polynomial) -> Polynomial:
-    # alpha x(1-x) P' - (beta - gamma x) P + delta x P_{n,k+1}, exact
-    return _combine((r.alpha, 1, dp), (-r.alpha, 2, dp), (-r.beta, 0, p), (r.gamma, 1, p), (r.delta, 1, above))
-
-
-def _lowering_residual(
-    r: RecurrenceCoefficients, p: Polynomial, dp: Polynomial, below: Polynomial, mu: int
-) -> Polynomial:
-    # kappa x(x-1) P' - (lam - mu x) P + nu x P_{n,k-1}, exact
-    return _combine((r.kappa, 2, dp), (-r.kappa, 1, dp), (-r.lam, 0, p), (mu, 1, p), (r.nu, 1, below))
+# The coefficient routes, one record each, led like a relation record of
+# ``family._RELATIONS``: name -> (expected outcome, note, route). Each route builds
+# P_nk another way and is compared with it. A route is looked up when it is called,
+# so a route replaced on this module is the one checked.
+_ROUTES = {
+    "rodrigues": (_ALWAYS, "", lambda n, k: alp_coefficients_rodrigues(n, k)),
+    "reciprocity": (_ALWAYS, "", lambda n, k: reciprocity_transform(n, k)),
+    "hypergeometric": (_ALWAYS, "corrected parameters C(n+k+1,n-k), c=2k+2",
+                       lambda n, k: alp_coefficients_hypergeometric(n, k, CORRECTED)),
+    "hypergeometric_published": (_AT_N, "published parameters C(n+k,n-k), c=2k+1; failure expected for k < n",
+                                 lambda n, k: alp_coefficients_hypergeometric(n, k, PUBLISHED)),
+    "jacobi_form": (_ALWAYS, "corrected superscripts (2k+1, 0)", lambda n, k: alp_coefficients_jacobi(n, k, CORRECTED)),
+    "jacobi_form_published": (_AT_N, "published superscripts (2k, 1); failure expected for k < n",
+                              lambda n, k: alp_coefficients_jacobi(n, k, PUBLISHED)),
+}
 
 
 def _pair_reports(n: int, k: int) -> list[IdentityReport]:
-    p = alp_coefficients(n, k)
+    members = _pair_members(n, k)
+    p = members[0]
     r = recurrence_coefficients(n, k)
-    dp = p.derivative()
-    # no P_{n,n+1}: at k = n its factors d and delta vanish and the zero polynomial stands in
-    above = alp_coefficients(n, k + 1) if k < n else Polynomial()
-    unit = p.integrate01() - Fraction(1, n + 1)
-    reports = [
-        _report("unit_integral", n, k, str(abs(unit))),
-        _poly_report("ode", n, k, ode_residual(n, k)),
-        _poly_report("derivative_raising", n, k, _raising_residual(r, p, dp, above)),
-    ]
-    if k >= 1:
-        below = alp_coefficients(n, k - 1)
-        reports += [
-            _poly_report("recurrence", n, k, _recurrence_residual(r, p, below, above)),
-            _poly_report("derivative_lowering", n, k, _lowering_residual(r, p, dp, below, r.mu),
-                         f"corrected mu={r.mu}"),
-            _poly_report("derivative_lowering_published", n, k, _lowering_residual(r, p, dp, below, r.mu_published),
-                         f"published mu={r.mu_published}, corrected mu={r.mu}; failure expected"),
-        ]
-    # the coefficient routes, each compared with p; built here, not at module level, so routes resolve at call time
-    routes = (
-        ("rodrigues", alp_coefficients_rodrigues(n, k), ""),
-        ("reciprocity", reciprocity_transform(n, k), ""),
-        ("hypergeometric", alp_coefficients_hypergeometric(n, k, CORRECTED),
-         "corrected parameters C(n+k+1,n-k), c=2k+2"),
-        ("hypergeometric_published", alp_coefficients_hypergeometric(n, k, PUBLISHED),
-         "published parameters C(n+k,n-k), c=2k+1; failure expected for k < n"),
-        ("jacobi_form", alp_coefficients_jacobi(n, k, CORRECTED), "corrected superscripts (2k+1, 0)"),
-        ("jacobi_form_published", alp_coefficients_jacobi(n, k, PUBLISHED),
-         "published superscripts (2k, 1); failure expected for k < n"),
-    )
-    for identity, route, note in routes:
-        # route == p is exactly "residual is zero"; the difference is formed only for a failure
-        reports.append(_poly_report(identity, n, k, Polynomial() if route == p else route - p, note))
-    return reports
+    reports = [_report("unit_integral", n, k, str(abs(p.integrate01() - Fraction(1, n + 1))))]
+    reports += [_poly_report(identity, n, k, _relation_residual(factors, terms, r, members), note and note.format(r=r))
+                for identity, (_, note, kmin, factors, terms) in _RELATIONS.items() if k >= kmin]
+    # q == p is exactly "residual is zero"; the difference is formed only for a failure
+    return reports + [_poly_report(identity, n, k, Polynomial() if (q := route(n, k)) == p else q - p, note)
+                      for identity, (_, note, route) in _ROUTES.items()]
 
 
 def verify_identity_suite(nmax: int) -> list[IdentityReport]:
@@ -246,17 +232,15 @@ def _report_stream(nmax: int) -> list[IdentityReport]:
 
 
 def expected_to_pass(identity: str, n: int, k: int) -> bool:
-    """Expected outcome per identity: published misprints must fail.
+    """Expected outcome per identity, read from its record: published misprints must fail.
 
     The published hypergeometric/Jacobi parameters coincide with the
     corrected ones at k = n (the connection factor has degree zero), so
-    those checks legitimately pass there.
+    those checks legitimately pass there. A check without a record, such as
+    an orthogonality check, is expected to pass.
     """
-    if identity == "derivative_lowering_published":
-        return False
-    if identity in ("hypergeometric_published", "jacobi_form_published"):
-        return k == n
-    return True
+    outcome = (_RELATIONS.get(identity) or _ROUTES.get(identity) or (_ALWAYS,))[0]
+    return outcome == _ALWAYS or (outcome == _AT_N and k == n)
 
 
 def suite_passes(reports) -> bool:
@@ -283,12 +267,14 @@ def _solve_exact(rows: list[list[Scalar]], rhs: list[Scalar]) -> list[Fraction]:
 def fit_lowering_coefficients(n: int, k: int) -> tuple[Fraction, Fraction, Fraction]:
     """Re-derive (lam, mu, nu) of the lowering formula by exact linear fit.
 
-    With kappa = 2k fixed, matching coefficients of
-    kappa x(x-1) P'_nk = (lam - mu x) P_nk - nu x P_{n,k-1} is linear in
-    (lam, mu, nu). The system is overdetermined for k < n; every equation
-    must be satisfied by the solved triple or this raises. At k = n only
-    two powers carry information, so lam is pinned to its (undisputed)
-    value 2k(k+1) and (mu, nu) are solved.
+    The residual of the corrected lowering record,
+    kappa x(x-1) P'_nk - (lam - mu x) P_nk + nu x P_{n,k-1} with kappa = 2k,
+    is linear in (lam, mu, nu): the record evaluated with all three set to
+    zero gives its constant part, and with each set to 1 in turn, that
+    part plus one column. Matching coefficients to zero is overdetermined
+    for k < n; every equation must be satisfied by the solved triple or
+    this raises. At k = n only two powers carry information, so lam is
+    pinned to its (undisputed) value 2k(k+1) and (mu, nu) are solved.
 
     This is the independent derivation that justifies hard-coding the
     corrected mu; the published mu fails this fit for every k >= 1.
@@ -296,17 +282,14 @@ def fit_lowering_coefficients(n: int, k: int) -> tuple[Fraction, Fraction, Fract
     if not 1 <= k <= n:
         raise ValueError(f"lowering formula requires 1 <= k <= n, got n={n}, k={k}")
     n, k = index(n), index(k)
-    p = alp_coefficients(n, k)
-    below = alp_coefficients(n, k - 1)
-    kappa = 2 * k
-    dp = p.derivative()
-    lhs = _combine((kappa, 2, dp), (-kappa, 1, dp))
-    rows, rhs = [], []
-    for power in range(n + 2):
-        row = [p.coeff(power), -p.coeff(power - 1), -below.coeff(power - 1)]
-        if any(row) or lhs.coeff(power) != 0:
-            rows.append(row)
-            rhs.append(lhs.coeff(power))
+    factors, terms = _RELATIONS["derivative_lowering"][3:]
+    members = _pair_members(n, k)
+    r = replace(recurrence_coefficients(n, k), lam=0, mu=0, nu=0)
+    base = _relation_residual(factors, terms, r, members)
+    cols = [_relation_residual(factors, terms, replace(r, **{name: 1}), members) - base for name in ("lam", "mu", "nu")]
+    # one equation per power that carries information: row . (lam, mu, nu) = -base
+    eqs = [([col.coeff(i) for col in cols], -base.coeff(i)) for i in range(n + 2)]
+    rows, rhs = zip(*[(row, b) for row, b in eqs if any(row) or b])
     if len(rows) >= 3:
         sol = _solve_exact(rows[:3], rhs[:3])
     else:

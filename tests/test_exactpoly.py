@@ -1,5 +1,6 @@
 """Exact polynomial algebra: arithmetic, integrals, inner products."""
 
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -90,6 +91,16 @@ def test_scalar_multiplication_and_shift():
     assert Polynomial([0, 0, 7]).shifted(-2) == Polynomial([7])
     with pytest.raises(ValueError):
         Polynomial([1, 1]).shifted(-1)
+
+
+@pytest.mark.parametrize("other", [1, Fraction(1, 2), None], ids=["int", "Fraction", "None"])
+@pytest.mark.parametrize("op", [operator.add, operator.sub], ids=["add", "sub"])
+def test_sum_and_difference_take_only_polynomials(op, other):
+    # NotImplemented, as from __eq__, lets Python raise TypeError, never an error about a private attribute
+    p = Polynomial([1, 2])
+    for left, right in ((p, other), (other, p)):
+        with pytest.raises(TypeError, match="^unsupported operand type"):
+            op(left, right)
 
 
 def test_derivative():

@@ -7,6 +7,7 @@ import importlib
 import json
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +29,10 @@ from alpquad import (
 from alpquad import cli, verify
 from alpquad.family import CORRECTED, PUBLISHED, ode_residual, recurrence_coefficients
 from alpquad.verify import _orthogonality_reports, _report_stream
+
+# the package attribute alpquad.family is the family() function, not the module
+family_module = importlib.import_module("alpquad.family")
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def by_identity(reports, name):
@@ -166,6 +171,27 @@ def test_report_json_roundtrip_and_schema(capsys):
     assert all(r.passed == (r.residual == "0") for r in _report_stream(12))
     # one string per distinct note, however many runs hold it
     assert all(a.note is b.note for a, b in zip(verify_orthogonality(5), verify_orthogonality(5)))
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        ({"pass": True, "residual": "5"}, '"pass" must be false'),
+        ({"pass": False, "residual": "0"}, '"pass" must be true'),
+        ({"pass": "yes"}, '"pass" must be true'),
+        ({"pass": 1}, '"pass" must be true'),
+        ({"note": None}, "lacks note"),
+        ({"pass": None, "residual": None}, "lacks pass, residual"),
+    ],
+    ids=["true-with-residual", "false-with-zero", "str", "int", "no-note", "no-pass-no-residual"],
+)
+def test_report_from_json_rejects_a_contradicting_or_incomplete_line(edit, message):
+    # a None in edit drops that key
+    d = json.loads(verify_orthogonality(2)[0].json_line()) | edit
+    line = json.dumps({key: value for key, value in d.items() if value is not None})
+    with pytest.raises(ValueError, match=message) as caught:
+        report_from_json(line)
+    assert repr(line) in str(caught.value)
 
 
 def test_reports_retain_at_most_128_bytes_each():
@@ -376,26 +402,80 @@ def bumped_member(n, k):
     return alp_coefficients(n, k) + Polynomial.monomial((n + k) % (n + 1), Fraction(1, k + 2))
 
 
+CHAINS = {
+    "ode": chain_ode_residual,
+    "derivative_raising": chain_raising_residual,
+    "recurrence": chain_recurrence_residual,
+    "derivative_lowering": lambda member, n, k: chain_lowering_residual(member, n, k, recurrence_coefficients(n, k).mu),
+    "derivative_lowering_published": lambda member, n, k: chain_lowering_residual(
+        member, n, k, recurrence_coefficients(n, k).mu_published
+    ),
+}
+
+
 @pytest.mark.parametrize("member", [alp_coefficients, bumped_member], ids=["members", "bumped"])
 def test_residuals_equal_the_operator_chains(monkeypatch, member):
-    # ode_residual looks its member up in the family module; the package
-    # attribute alpquad.family is the family() function, not that module
-    monkeypatch.setattr(importlib.import_module("alpquad.family"), "alp_coefficients", member)
+    # the relation records, and ode_residual, read their members from the family module
+    monkeypatch.setattr(family_module, "alp_coefficients", member)
+    assert list(family_module._RELATIONS) == list(CHAINS)
     for n in range(17):
         for k in range(n + 1):
-            r, p = recurrence_coefficients(n, k), member(n, k)
-            above = member(n, k + 1) if k < n else Polynomial()
+            r, members = recurrence_coefficients(n, k), family_module._pair_members(n, k)
             assert ode_residual(n, k) == chain_ode_residual(member, n, k), (n, k)
-            got = verify._raising_residual(r, p, p.derivative(), above)
-            assert got == chain_raising_residual(member, n, k), (n, k)
-            if k == 0:
-                continue
-            below = member(n, k - 1)
-            got = verify._recurrence_residual(r, p, below, above)
-            assert got == chain_recurrence_residual(member, n, k), (n, k)
-            for mu in (r.mu, r.mu_published):
-                got = verify._lowering_residual(r, p, p.derivative(), below, mu)
-                assert got == chain_lowering_residual(member, n, k, mu), (n, k, mu)
+            for name, (_, _, kmin, factors, terms) in family_module._RELATIONS.items():
+                if k >= kmin:
+                    got = family_module._relation_residual(factors, terms, r, members)
+                    assert got == CHAINS[name](member, n, k), (name, n, k)
+
+
+def test_the_relation_records_drive_the_suite(monkeypatch):
+    """A factor off by one in one record fails exactly that identity, at every
+    pair it applies to, and changes no other report."""
+    outcome, note, kmin, factors, terms = family_module._RELATIONS["recurrence"]
+    r = recurrence_coefficients(5, 2)
+    assert (factors(r)[2], terms[2]) == (r.c, (1, family_module._P))
+
+    def c_off_by_one(r):
+        a, b, c, d = factors(r)
+        return a, b, c + 1, d
+
+    monkeypatch.setitem(verify._RELATIONS, "recurrence", (outcome, note, kmin, c_off_by_one, terms))
+    got = verify_identity_suite(8)
+    monkeypatch.undo()
+    clean = verify_identity_suite(8)
+    assert [(r.n, r.k, r.identity) for r in got] == [(r.n, r.k, r.identity) for r in clean]
+    broken = [rep for rep in got if rep.identity == "recurrence"]
+    assert [(rep.n, rep.k) for rep in broken] == [(n, k) for n in range(9) for k in range(kmin, n + 1)]
+    # the residual grows by x P_nk, so its largest coefficient is P_nk's
+    assert all(rep.residual == str(alp_coefficients(rep.n, rep.k).max_abs_coeff()) for rep in broken)
+    assert all(rep == ref for rep, ref in zip(got, clean) if rep.identity != "recurrence")
+
+
+def test_expected_to_pass_reads_the_records():
+    outcomes = {name: record[0] for name, record in (*family_module._RELATIONS.items(), *verify._ROUTES.items())}
+    reports = _report_stream(12)
+    assert set(outcomes) <= {r.identity for r in reports}
+    for r in reports:
+        want = {"always": True, "never": False, "only at k = n": r.k == r.n}[outcomes.get(r.identity, "always")]
+        assert expected_to_pass(r.identity, r.n, r.k) == want, r
+
+
+def test_records_match_the_benchmark_oracle(monkeypatch):
+    """The records name the identities, and give the least k and expected
+    outcome, that the benchmark's own checks (bench/checks.py) hold."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    checks = importlib.import_module("checks")
+    least_k = {name: record[2] for name, record in family_module._RELATIONS.items()}
+    least_k |= dict.fromkeys(verify._ROUTES, 0)
+    least_k["unit_integral"] = 0  # the one identity check built outside the records
+    assert sorted(least_k) == sorted(checks.SUITE_IDENTITIES + checks.LOWERING_IDENTITIES)
+    assert {name for name, kmin in least_k.items() if kmin == 0} == set(checks.SUITE_IDENTITIES)
+    assert {name for name, kmin in least_k.items() if kmin == 1} == set(checks.LOWERING_IDENTITIES)
+    names = (*least_k, "orthogonality", "sign_normalization", "aux_orthogonality", "aux_sign")
+    for name in names:
+        for n in range(13):
+            for k in range(n + 1):
+                assert expected_to_pass(name, n, k) == checks.paper_outcome(name, n, k), (name, n, k)
 
 
 def difference_residual(route_poly, p):
