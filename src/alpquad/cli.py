@@ -16,7 +16,7 @@ import sys
 from .family import alp_coefficients, alp_eval
 from .horner import horner
 from .quadrature import RootFindingError, _fmt17, build_rule, integrate, rule_to_csv, rule_to_json
-from .verify import _REPORT_KEYS, _report_fields, _report_stream, expected_to_pass, suite_passes
+from .verify import _REPORT_SCHEMA, _report_fields, _report_stream, expected_to_pass, suite_passes
 
 _NAMED_INTEGRANDS = {"exp": math.exp, "sin": math.sin, "log1p": math.log1p}
 _DEFAULT_MAX_N = 30
@@ -112,7 +112,7 @@ def _cmd_verify(args) -> int:
             print(r.json_line())
     elif args.format == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(_REPORT_KEYS)
+        writer.writerow(_REPORT_SCHEMA)
         for r in reports:
             writer.writerow([str(v).lower() if isinstance(v, bool) else v for v in _report_fields(r)])
     else:

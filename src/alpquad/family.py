@@ -162,10 +162,7 @@ def reciprocity_transform(n: int, k: int) -> Polynomial:
     n, k = _check_index(n, k)
     q = jacobi_shifted_coefficients(n - k, -2 * n - 2)
     # x^n * q(1/x): coefficient of u^j in q lands on x^{n-j}
-    out = [0] * (n + 1)
-    for j, c in enumerate(q.coeffs):
-        out[n - j] = c
-    return Polynomial(out)
+    return Polynomial([0] * (n + 1 - len(q.coeffs)) + list(reversed(q.coeffs)))
 
 
 @dataclass(frozen=True)
@@ -436,7 +433,10 @@ def alp_eval_recurrence(n: int, x: float) -> list[float]:
     m^k C(n+k+1, n-k) q 2^(k e + scale), where x = m 2^e, so neither x^k
     nor C(n+k+1, n-k) is formed by itself, and for n below about 1020
     (past that m^k itself can underflow) a value underflows only when
-    P_nk(x) does.
+    P_nk(x) does. The scale-back goes through ``jacobi._ldexp``, so a value
+    beyond the double range is an inf of its sign, as ``alp_eval`` gives.
+    Far out a step overflows before the values do, and they turn to NaN or
+    to an inf of the wrong sign: from about |x| = 2.5e150 at n = 40.
     """
     if n < 0:
         raise ValueError(f"family order must be nonnegative, got {n}")
@@ -446,14 +446,14 @@ def alp_eval_recurrence(n: int, x: float) -> list[float]:
         raise TypeError(f"alp_eval_recurrence takes one point, got an array of shape {x.shape}")
     mant, exp = math.frexp(x)
     q, above, scale = 1.0, 0.0, 0  # R_k = q 2^scale, R_{k+1} = above 2^scale
-    out = [math.ldexp(mant**n, n * exp)]
+    out = [_ldexp(mant**n, n * exp)]
     for k, (bb, cb, dd, s_mant, s_exp) in zip(range(n - 1, -1, -1), _recurrence_steps(n)):
         # the first step multiplies above by d_nn = 0
         q, above = ((bb - cb * x) * q - dd * x * x * above) / bb, q
         q, e = math.frexp(q)
         above = math.ldexp(above, -e)
         scale += e
-        out.append(math.ldexp(mant**k * s_mant * q, k * exp + s_exp + scale))
+        out.append(_ldexp(mant**k * s_mant * q, k * exp + s_exp + scale))
     return out
 
 

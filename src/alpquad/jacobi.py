@@ -24,7 +24,13 @@ call: the eigenvalues by LAPACK's root-free QL iteration (dsterf) written
 out, the kernel point by point. Over the rules with n <= 30 the kernel
 loop is faster than numpy's calls on arrays of 1 to 30 points, and the
 eigenvalues are slower than ``eigvalsh``; a process that builds a rule no
-longer imports numpy, which costs more than either.
+longer imports numpy, which costs more than either. The kernel rescales
+its running sum by value: only a step that takes it past ``_KERNEL_BAND``
+(2^64) scales the sum and the last two terms by powers of two, which the
+returned exponent takes back. That is exact while the values stay normal,
+so no finite value depends on where the rescales fall; no rule with
+n <= 30 reaches the band, and far outside [0, 1] a sum beyond the double
+range comes out inf, not inf - inf.
 
 No module of the package imports numpy, and it is not a dependency. The
 float evaluators take numpy input when the caller passes it: numpy is
@@ -375,6 +381,14 @@ def _ldexp(v: float, e: int) -> float:
         return math.copysign(math.inf, v)
 
 
+# The kernel rescales its running sum once the sum passes this power of two.
+# From |x| = 1e10 on, every step takes the sum past the band, so each step
+# starts from a sum below 2 and NaN is left only where one step from there
+# overflows: from |x| near 1e151. Nearer [0, 1] a step from a sum below the
+# band cannot overflow; a band of 2^600 would let it, at |x| = 1e80.
+_KERNEL_BAND = 2.0**64
+
+
 def _alp_kernel(n: int, k: int, points) -> list[tuple[float, int]]:
     """sum_{l=k}^{n} (2l+1) P_nl(x)^2 at each float x of points, as pairs (v, e), the value being v 2^e.
 
@@ -385,28 +399,31 @@ def _alp_kernel(n: int, k: int, points) -> list[tuple[float, int]]:
     (Gautschi, Orthogonal Polynomials, 2004, sections 1.3 and 3.1). The
     Jacobi matrix is built once; the q_i then come from its three-term
     recurrence point by point, in n-k steps of Python float arithmetic
-    without evaluating any member of the family, rescaled by powers of two
-    so the sum cannot overflow. x^{2k} is applied as mant^{2k} * 2^{2k e}
-    with mant, e = frexp(x), so it cannot underflow by itself; mant^{2k} is
-    libm's pow. mant^{2k} stays a normal double only for k <= 511; past
-    that, values at points just above a power of two lose accuracy.
+    without evaluating any member of the family.
+
+    The sum is kept in range by value, not by step count: a step that takes
+    it past _KERNEL_BAND rescales, with h half the sum's binary exponent,
+    q_{i-1} and q_i by 2^-h and the sum by 2^-2h, and adds 2h to the
+    exponent returned. Scaling by a power of two is exact while the values
+    stay normal, and the sum never falls below 1/2, so where the rescales
+    fall moves v only by a power of two, which the exponent takes back:
+    the value v 2^e, once rounded, does not depend on the band.
+
+    x^{2k} is applied as mant^{2k} * 2^{2k e} with mant, e = frexp(x), so
+    it cannot underflow by itself; mant^{2k} is libm's pow. mant^{2k} stays
+    a normal double only for k <= 511; past that, values at points just
+    above a power of two lose accuracy.
     """
     diag, off = _jacobi_matrix(n - k + 1, 2 * k)
     steps = list(zip(diag, [0.0] + off, off))
-    chunks = [steps[i : i + 16] for i in range(0, len(steps), 16)]
     out = []
     for x in points:
         t = 1.0 - 2.0 * x
         prev, q, total, scale = 0.0, 1.0, 1.0, 0
-        for chunk in chunks:
-            for d, b_prev, b in chunk:
-                prev, q = q, ((t - d) * q - b_prev * prev) / b
-                total += q * q
-            if len(chunk) == 16:
-                # |q| grows by less than 3/b per step on [0, 1], so 16 steps
-                # from a sum below 2 stay far inside the double range; near
-                # x = 0 the sum itself would overflow from n = 372 without this
-                # rescaling
+        for d, b_prev, b in steps:
+            prev, q = q, ((t - d) * q - b_prev * prev) / b
+            total += q * q
+            if total > _KERNEL_BAND:
                 h = math.frexp(total)[1] // 2
                 prev, q = math.ldexp(prev, -h), math.ldexp(q, -h)
                 total, scale = math.ldexp(total, -2 * h), scale + 2 * h

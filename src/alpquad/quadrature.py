@@ -220,7 +220,5 @@ def rule_to_json(rule: QuadratureRule) -> str:
 
 def rule_to_csv(rule: QuadratureRule) -> str:
     """CSV form with header j,node,weight and 1-based row index."""
-    lines = ["j,node,weight"]
-    for j, (x, w) in enumerate(zip(rule.nodes, rule.weights), start=1):
-        lines.append(f"{j},{_fmt17(x)},{_fmt17(w)}")
-    return "\n".join(lines) + "\n"
+    rows = (f"{j},{_fmt17(x)},{_fmt17(w)}\n" for j, (x, w) in enumerate(zip(rule.nodes, rule.weights), start=1))
+    return "j,node,weight\n" + "".join(rows)

@@ -20,9 +20,11 @@ exact linear fit of the lowering record itself, solved by Cramer's rule.
 
 Reports serialize to JSON lines:
     {"identity": str, "n": int, "k": int, "pass": bool, "residual": str, "note": str}
-The schema is declared once, in ``_REPORT_KEYS``: the JSON keys and the
+The schema is declared once, in ``_REPORT_SCHEMA``: the JSON keys and the
 ``alpquad verify`` CSV header are those six names, in the field order of
-``IdentityReport``, whose ``passed`` serialises as "pass".
+``IdentityReport``, whose ``passed`` serialises as "pass", and
+``report_from_json`` takes each field only with its JSON type (an ``n``
+or ``k`` that is a bool is refused).
 
 Every check builds its report through ``_report``, which derives ``passed``
 from the residual and interns the note. A report is a slotted frozen
@@ -70,8 +72,8 @@ __all__ = [
 ]
 
 
-# the serialised names of the IdentityReport fields, in field order
-_REPORT_KEYS = ("identity", "n", "k", "pass", "residual", "note")
+# the serialised names of the IdentityReport fields, in field order, each with its JSON type
+_REPORT_SCHEMA = {"identity": str, "n": int, "k": int, "pass": bool, "residual": str, "note": str}
 
 
 @dataclass(frozen=True, slots=True)
@@ -86,7 +88,7 @@ class IdentityReport:
     note: str = ""
 
     def json_line(self) -> str:
-        return json.dumps(dict(zip(_REPORT_KEYS, _report_fields(self))))
+        return json.dumps(dict(zip(_REPORT_SCHEMA, _report_fields(self))))
 
 
 # the fields in field order, as a tuple; astuple would deep-copy each one
@@ -102,16 +104,22 @@ def _report(identity: str, n: int, k: int, residual: str, note: str = "") -> Ide
 
 
 def report_from_json(line: str) -> IdentityReport:
-    """The report of one JSON line, built through ``_report``; raises ValueError,
-    naming the line, when a key is missing or "pass" is not the bool residual == "0"."""
+    """The report of one JSON line, built through ``_report``; raises ValueError, naming
+    the line, when it is not a JSON object, a key is missing, "pass" is not the bool
+    residual == "0", or a field is not of its type in ``_REPORT_SCHEMA``."""
     d = json.loads(line)
-    missing = [key for key in _REPORT_KEYS if key not in d]
+    if type(d) is not dict:
+        raise ValueError(f"report line {line!r} is not a JSON object")
+    missing = [key for key in _REPORT_SCHEMA if key not in d]
     if missing:
         raise ValueError(f"report line {line!r} lacks {', '.join(missing)}")
-    report = _report(d["identity"], d["n"], d["k"], d["residual"], d["note"])
-    if d["pass"] is not report.passed:
-        raise ValueError(f"report line {line!r}: \"pass\" must be {json.dumps(report.passed)} for its residual")
-    return report
+    passed = d["residual"] == "0"
+    if d["pass"] is not passed:
+        raise ValueError(f"report line {line!r}: \"pass\" must be {json.dumps(passed)} for its residual")
+    for key, kind in _REPORT_SCHEMA.items():
+        if type(d[key]) is not kind:  # not isinstance: a bool is no int here
+            raise ValueError(f"report line {line!r}: {key} must be {kind.__name__}, got {type(d[key]).__name__}")
+    return _report(d["identity"], d["n"], d["k"], d["residual"], d["note"])
 
 
 def reports_to_json_lines(reports) -> str:

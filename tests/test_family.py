@@ -8,6 +8,7 @@ implementation paths it checks.
 
 import dataclasses
 import hashlib
+import math
 import re
 import tracemalloc
 from fractions import Fraction
@@ -612,6 +613,37 @@ def test_scalar_weight_denominator_inverts_to_rule_weights():
                     assert type(den) is (float if point is x else np.float64) and 1.0 / den == w, (n, k, x)
 
 
+# the points of test_weight_denominator_matches_exact_sum and more outside [0, 1]
+# and next to 0, for the digests of the two rescaling float loops
+_PINNED_POINTS = [*_grid_with_ends(1208, 18).tolist(), 1.25, -3.0, 3.0, 7.5, 1e-300]
+_NEAR_ZERO = [1e-300, 1e-30, 1e-8, 1e-4, 1e-3, 0.01, 0.0625, 0.1]
+
+
+def test_weight_denominator_values_are_pinned():
+    # every kmin with n <= 40, and orders up to 1500 next to 0, where the
+    # kernel's sum passes its rescaling band. A rescale scales by a power of
+    # two, which the returned exponent takes back, so where it falls moves
+    # no bit; the digest was taken with a rescale after every 16 steps
+    digest = hashlib.sha256()
+    cases = [(n, kmin, _PINNED_POINTS) for n in range(41) for kmin in range(n + 1)]
+    cases += [(n, kmin, _NEAR_ZERO) for n in (400, 1000, 1500) for kmin in (0, 1, n // 2)]
+    for n, kmin, points in cases:
+        fam = family(n)
+        digest.update(" ".join(fam.weight_denominator(kmin, x).hex() for x in points).encode())
+    assert digest.hexdigest() == "7d0c9e2f278fde38f6bbb1f098968be82e2f7ea681dfd665576c577c752f5dbf"
+
+
+def test_weight_denominator_past_the_double_range_is_inf():
+    # far outside [0, 1] q grows by about |1-2x| / b a step; the kernel
+    # rescales from the sum's exponent, so the sum reaches inf, not inf - inf.
+    # A band of 2^600 would let a step from a sum just below it overflow: NaN
+    # at 1e80
+    fam = family(40)
+    for x in (1e10, -1e10, 1e80, 1e100, -1e150):
+        assert fam.weight_denominator(0, x) == math.inf, x
+        assert fam.weight_denominator(0, np.array([x, 0.5]))[0] == math.inf, x
+
+
 def test_array_path_accuracy_on_float_exact_members():
     # compensated Horner on the deflated coefficients, times x^k: within
     # 1.1e-15 of the exact value, relative to max(1, |P|), near both ends
@@ -781,6 +813,33 @@ def test_downward_recurrence_consistent_with_horner():
             for idx, k in enumerate(range(n, -1, -1)):
                 ref = alp_eval(n, k, float(x))
                 assert abs(vals[idx] - ref) <= 1e-10 * max(1.0, abs(ref))
+
+
+def test_downward_recurrence_values_are_pinned():
+    # every order n <= 40 on the points of the weight-denominator digest,
+    # and orders to 1000 next to x = 1, where R_k leaves the double range
+    # and only its carried exponent keeps it
+    digest = hashlib.sha256()
+    cases = [(n, x) for n in range(41) for x in _PINNED_POINTS]
+    cases += [(n, x) for n in (100, 400, 740, 1000) for x in (0.99, 1.0)]
+    for n, x in cases:
+        digest.update(" ".join(v.hex() for v in alp_eval_recurrence(n, x)).encode())
+    assert digest.hexdigest() == "616a1531786d87eab3bf6002748f37ec9c6f58374270f210303e240e6ace4f96"
+
+
+def test_downward_recurrence_past_the_double_range_is_inf():
+    # the values are scaled back through jacobi._ldexp, so one beyond the
+    # double range is an inf of its sign, as alp_eval gives, not an OverflowError
+    vals = alp_eval_recurrence(30, 1e10)
+    assert not any(math.isnan(v) for v in vals)
+    assert sum(map(math.isinf, vals)) == 24
+    for k, v in zip(range(30, -1, -1), vals):
+        assert v == alp_eval(30, k, 1e10) or abs(v - alp_eval(30, k, 1e10)) <= 1e-12 * abs(v), k
+    # past x = 1, P_nk(x) has the sign (-1)^(n-k), and below 0 the sign (-1)^k
+    for n, x, sign in ((405, 2.0, lambda k: (-1) ** (405 - k)), (346, -1.5, lambda k: (-1) ** k)):
+        vals = alp_eval_recurrence(n, x)
+        assert sum(map(math.isinf, vals)) > 0 and not any(math.isnan(v) for v in vals)
+        assert all(v * sign(k) > 0 for k, v in zip(range(n, -1, -1), vals)), (n, x)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from alpquad import (
     QuadratureRule,
     RootFindingError,
     alp_coefficients,
+    alp_eval,
     build_rule,
     exactness_report,
     expand_in_alp,
@@ -197,8 +198,9 @@ def test_rule_stream_is_pinned():
 
 
 def test_large_rules_are_pinned():
-    # the n <= 30 stream above rescales the weight kernel (every 16 steps)
-    # at most once; these rules take it through up to 25 rescalings
+    # the n <= 30 stream above never takes the weight kernel's sum past its
+    # rescaling band; (100, 50), (200, 100) and (400, 200) here rescale it
+    # 21, 112 and 511 times
     cases = [(100, 1), (100, 50), (200, 1), (200, 100), (400, 1), (400, 200), (400, 400)]
     stream = "".join(rule_to_json(build_rule(n, k)) + "\n" for n, k in cases)
     digest = hashlib.sha256(stream.encode()).hexdigest()
@@ -477,6 +479,32 @@ def test_large_n_rules_keep_structure_and_window():
             for l in sorted({window[0], window[-1], *window[:: max(1, len(window) // 16)]}):
                 got = math.fsum(w * x**l for x, w in zip(rule.nodes, rule.weights))
                 assert abs(got * (l + 1) - 1.0) <= 2e-13, (n, k, l)
+
+
+def _orthogonality_defect(n: int, k: int) -> float:
+    # max |V V^T - I| for V_lj = sqrt((2l+1) w_j) P_nl(x_j), l = k..n: the
+    # products P_nl P_nl' lie in the rule's window, so V is orthogonal
+    rule = build_rule(n, k)
+    xs, ws = np.array(rule.nodes), np.array(rule.weights)
+    v = np.array([np.sqrt((2 * l + 1) * ws) * alp_eval(n, l, xs) for l in range(k, n + 1)])
+    return float(np.abs(v @ v.T - np.eye(n - k + 1)).max())
+
+
+def test_rules_are_orthogonal_transforms():
+    # nodes, weights and the evaluators together. Measured worst 1.29e-14
+    # over the 465 rules with n <= 30, at (28, 1); the bounds allow about 3x
+    for n in range(1, 31):
+        for k in range(1, n + 1):
+            assert _orthogonality_defect(n, k) <= 4e-14, (n, k)
+
+
+@pytest.mark.parametrize(
+    "n, k, bound",
+    # measured 3.4e-14, 1.1e-14, 3.8e-14 and 7.3e-14; the bounds allow about 3x
+    [(100, 1, 1e-13), (100, 50, 4e-14), (200, 100, 1.2e-13), (400, 200, 2.5e-13)],
+)
+def test_large_rules_are_orthogonal_transforms(n, k, bound):
+    assert _orthogonality_defect(n, k) <= bound
 
 
 def test_weights_rescale_where_the_kernel_sum_overflows():

@@ -5,6 +5,7 @@ import gc
 import hashlib
 import importlib
 import json
+import re
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -190,6 +191,35 @@ def test_report_from_json_rejects_a_contradicting_or_incomplete_line(edit, messa
     d = json.loads(verify_orthogonality(2)[0].json_line()) | edit
     line = json.dumps({key: value for key, value in d.items() if value is not None})
     with pytest.raises(ValueError, match=message) as caught:
+        report_from_json(line)
+    assert repr(line) in str(caught.value)
+
+
+_GOOD_LINE = {"identity": "orthogonality", "n": 2, "k": 0, "pass": True, "residual": "0", "note": "l=0; expected 1"}
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ('{"identity": "x", "n": "one", "k": 2.5, "pass": false, "residual": 0, "note": ""}', "n must be int, got str"),
+        (json.dumps(_GOOD_LINE | {"identity": 1}), "identity must be str, got int"),
+        (json.dumps(_GOOD_LINE | {"n": True}), "n must be int, got bool"),
+        (json.dumps(_GOOD_LINE | {"k": 0.0}), "k must be int, got float"),
+        (json.dumps(_GOOD_LINE | {"pass": False, "residual": 5}), "residual must be str, got int"),
+        (json.dumps(_GOOD_LINE | {"note": 3}), "note must be str, got int"),
+        (json.dumps(_GOOD_LINE | {"note": None}), "note must be str, got NoneType"),
+        (json.dumps(_GOOD_LINE | {"note": ["l=0"]}), "note must be str, got list"),
+        ("5", "is not a JSON object"),
+        ("null", "is not a JSON object"),
+        ('"orthogonality"', "is not a JSON object"),
+        (json.dumps(list(_GOOD_LINE.values())), "is not a JSON object"),
+    ],
+    ids=["strings-for-numbers", "int-identity", "bool-n", "float-k", "int-residual", "int-note", "null-note",
+         "list-note", "number", "null", "string", "array"],
+)
+def test_report_from_json_rejects_a_line_of_the_wrong_types(line, message):
+    assert report_from_json(json.dumps(_GOOD_LINE)) == verify_orthogonality(2)[0]
+    with pytest.raises(ValueError, match=re.escape(message)) as caught:
         report_from_json(line)
     assert repr(line) in str(caught.value)
 
