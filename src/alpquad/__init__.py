@@ -11,7 +11,8 @@ family generates (exact precisely for monomial degrees 2k-1 through 2n).
 
 An exact-rational verification suite certifies every identity and
 documents three misprinted constants found in published formulas for this
-family; see ``alpquad.verify``.
+family, two of which (the hypergeometric parameters and the Jacobi
+superscripts) give one wrong polynomial; see ``alpquad.verify``.
 
 Each public name is declared once, in the ``__all__`` of its module; this
 namespace and its ``__all__`` re-export exactly the lists of ``exactpoly``,

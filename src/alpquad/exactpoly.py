@@ -11,10 +11,14 @@ Polynomials are immutable and hashable.
 or a point: a Python or numpy integer becomes the Python int it equals (a
 numpy integer's own arithmetic wraps at 64 bits), a float of any width its
 exact binary value, and a Fraction or a str stays what `Fraction` makes of
-it. Integer indices never come through it: each exact entry point takes its
-indices once with ``operator.index``, in the index check it already runs
-(``family._check_index`` returns them as Python ints), so a float index
-raises TypeError.
+it. Integer arguments have one door too, beside it, and every public entry
+point sends its integers through it before any arithmetic: `_check_count`
+(a count or degree, v >= 0), `_check_index` (a pair 0 <= k <= n, or
+1 <= k <= n for the rules and the lowering fit), `_check_aux_index` (the
+auxiliary pair k >= n >= 0) and `_integer` (a parameter that may also be a
+float). Each returns the Python ints its integers equal, so no numpy integer
+reaches the arithmetic, and the guards raise TypeError for a float, even
+``5.0``, through ``operator.index``.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from __future__ import annotations
 import math
 import numbers
 from fractions import Fraction
+from operator import index
 from typing import Iterable, Union
 
 Scalar = Union[int, Fraction]
@@ -48,6 +53,35 @@ def _exact(c) -> Scalar:
     return c.numerator if c.denominator == 1 else c
 
 
+def _check_count(v: int, name: str) -> int:
+    """v as the Python int it equals, after checking v >= 0."""
+    v = index(v)
+    if v < 0:
+        raise ValueError(f"{name} must be nonnegative, got {v}")
+    return v
+
+
+def _check_index(n: int, k: int, least: int = 0, noun: str = "family index") -> tuple[int, int]:
+    """(n, k) as the Python ints they equal, after checking least <= k <= n."""
+    n, k = index(n), index(k)
+    if not least <= k <= n:
+        raise ValueError(f"{noun} requires {least} <= k <= n, got n={n}, k={k}")
+    return n, k
+
+
+def _check_aux_index(n: int, k: int) -> tuple[int, int]:
+    """(n, k) as the Python ints they equal, after checking k >= n >= 0."""
+    n, k = index(n), index(k)
+    if not 0 <= n <= k:
+        raise ValueError(f"auxiliary index requires k >= n >= 0, got n={n}, k={k}")
+    return n, k
+
+
+def _integer(v):
+    """v as the Python int it equals when it is an integer of any kind, else v as it is."""
+    return int(v) if isinstance(v, numbers.Integral) else v
+
+
 def _quotient(num: int, den: int) -> Scalar:
     # num/den as the same exact scalar: the int quotient when den divides num, else the Fraction
     q, r = divmod(num, den)
@@ -72,9 +106,7 @@ class Polynomial:
 
     @classmethod
     def monomial(cls, power: int, coeff: Scalar = 1) -> "Polynomial":
-        if power < 0:
-            raise ValueError(f"power must be nonnegative, got {power}")
-        return cls([0] * power + [coeff])
+        return cls([0] * _check_count(power, "power") + [coeff])
 
     @property
     def coeffs(self) -> tuple[Scalar, ...]:

@@ -12,10 +12,14 @@ one record each in ``_RELATIONS``, which ``ode_residual`` and the suite read.
 
 Three constants quoted in standard references for this family fail exact
 identity checks (the mu factor of the lowering differentiation formula,
-the third hypergeometric parameter, and the Jacobi superscript pair).
-Routines here default to the corrected values, which the suite re-derives;
-the published ones remain available under ``variant="published"`` so the
-discrepancy itself stays reproducible.
+the third hypergeometric parameter, and the Jacobi superscript pair). The
+last two give one wrong polynomial: the published Jacobi pair (2k, 1),
+written as a 2F1, is the published triple C(n+k, n-k), c = 2k+1.
+Routines here default to the corrected values; the suite re-derives the
+lowering formula's (lam, mu, nu) (``verify.fit_lowering_coefficients``)
+and checks the others by the coefficient match. The published ones remain
+available under ``variant="published"`` so the discrepancy itself stays
+reproducible.
 """
 
 from __future__ import annotations
@@ -26,9 +30,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, perm
-from operator import index
 
-from .exactpoly import Polynomial, _combine, _exact, _quotient
+from .exactpoly import Polynomial, _check_aux_index, _check_count, _check_index, _combine, _exact, _quotient
 from .horner import comp_horner, comp_power
 from .jacobi import (
     _alp_kernel,
@@ -65,18 +68,6 @@ CORRECTED = "corrected"
 PUBLISHED = "published"
 
 _MAX_EXACT_FLOAT = float(2**53)  # integers above this round on conversion
-
-
-def _check_index(n: int, k: int) -> tuple[int, int]:
-    """(n, k) as Python ints, after checking 0 <= k <= n.
-
-    Every entry point rebinds its indices from the return value, so a numpy
-    integer index never reaches the exact arithmetic, where it would wrap at
-    64 bits; a float index raises TypeError.
-    """
-    if n < 0 or k < 0 or k > n:
-        raise ValueError(f"family index requires 0 <= k <= n, got n={n}, k={k}")
-    return index(n), index(k)
 
 
 def _check_variant(variant: str) -> None:
@@ -125,7 +116,10 @@ def alp_coefficients_hypergeometric(n: int, k: int, variant: str = CORRECTED) ->
 
     The corrected parameters are prefactor C(n+k+1, n-k) with c = 2k+2;
     the published pair C(n+k, n-k), c = 2k+1 fails the coefficient match
-    for every k < n and is kept only for the misprint report.
+    for every k < n and is kept only for the misprint report. Each variant
+    is the Jacobi form of ``alp_coefficients_jacobi`` with the same
+    variant, written as a 2F1 (prefactor C(m+A, m), c = A+1), so the two
+    give one polynomial, the published one included.
     """
     n, k = _check_index(n, k)
     _check_variant(variant)
@@ -304,9 +298,7 @@ class AlpFamily:
     __slots__ = ("n", "kstar", "_deflated")
 
     def __init__(self, n: int):
-        if n < 0:
-            raise ValueError(f"family order must be nonnegative, got {n}")
-        self.n = n = index(n)
+        self.n = n = _check_count(n, "family order")
         deflated = []
         for k in range(n, -1, -1):
             p = alp_coefficients.__wrapped__(n, k)
@@ -438,9 +430,7 @@ def alp_eval_recurrence(n: int, x: float) -> list[float]:
     Far out a step overflows before the values do, and they turn to NaN or
     to an inf of the wrong sign: from about |x| = 2.5e150 at n = 40.
     """
-    if n < 0:
-        raise ValueError(f"family order must be nonnegative, got {n}")
-    n = index(n)
+    n = _check_count(n, "family order")
     x = _finite_points(x)
     if getattr(x, "ndim", 0):
         raise TypeError(f"alp_eval_recurrence takes one point, got an array of shape {x.shape}")
@@ -472,13 +462,6 @@ def alp_derivative_eval(n: int, k: int, x: float) -> float:
     if k == 0:
         return -2.0 * dj
     return comp_power(x, k - 1) * (k * _jacobi_pair(n - k, 2 * k + 1, 0, t)[0] - 2.0 * x * dj)
-
-
-def _check_aux_index(n: int, k: int) -> tuple[int, int]:
-    # (n, k) as Python ints, like _check_index
-    if n < 0 or k < n:
-        raise ValueError(f"auxiliary index requires k >= n >= 0, got n={n}, k={k}")
-    return index(n), index(k)
 
 
 def aux_coefficients(n: int, k: int) -> Polynomial:

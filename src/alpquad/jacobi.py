@@ -60,7 +60,7 @@ from functools import lru_cache
 from math import factorial, prod
 from operator import index
 
-from .exactpoly import Polynomial, Scalar, _exact, _quotient
+from .exactpoly import Polynomial, Scalar, _check_count, _exact, _integer, _quotient
 
 __all__ = [
     "pochhammer",
@@ -72,8 +72,7 @@ __all__ = [
 
 def pochhammer(a: int, m: int) -> Fraction:
     """Rising factorial a (a+1) ... (a+m-1); empty product for m = 0."""
-    if m < 0:
-        raise ValueError(f"m must be nonnegative, got {m}")
+    a, m = index(a), _check_count(m, "m")
     return Fraction(prod(range(a, a + m)))
 
 
@@ -84,8 +83,7 @@ def binomial_general(z: int, m: int) -> Fraction:
     z >= m >= 0, is 0 for 0 <= z < m (a factor vanishes) and extends to
     the negative integer arguments the formal reciprocity path produces.
     """
-    if m < 0:
-        raise ValueError(f"m must be nonnegative, got {m}")
+    z, m = index(z), _check_count(m, "m")
     return Fraction(prod(range(z, z - m, -1)), factorial(m))
 
 
@@ -105,9 +103,7 @@ def jacobi_shifted_coefficients(m: int, alpha: int, beta: int = 0) -> Polynomial
     exact series and a rational beta keeps its exact value. Raises
     ValueError if a Pochhammer denominator vanishes inside the series range.
     """
-    m, alpha, beta = index(m), index(alpha), _exact(beta)
-    if m < 0:
-        raise ValueError(f"degree must be nonnegative, got {m}")
+    m, alpha, beta = _check_count(m, "degree"), index(alpha), _exact(beta)
     if 0 < -alpha <= m:
         # (alpha+1)_j hits zero once alpha + j = 0, i.e. j = -alpha <= m
         raise ValueError(f"series denominator (alpha+1)_j vanishes for alpha={alpha}, m={m}")
@@ -238,16 +234,19 @@ def jacobi_eval(m: int, alpha: float, beta: float, t):
     whatever m is asked for, and +0.1 to +0.4 MB of peak memory on the
     benchmark's sweeps to n = 40. The values are those of the
     step-by-step formula bit for bit.
+
+    m goes through the exact layer's count guard (``exactpoly._check_count``),
+    and alpha and beta through ``exactpoly._integer``: an integer of any kind
+    becomes the Python int it equals, so no step factor wraps at 64 bits, as
+    int64 arithmetic would from alpha near 2^21; a float stays as it is.
     """
-    if m < 0:
-        raise ValueError(f"degree must be nonnegative, got {m}")
+    m, alpha, beta = _check_count(m, "degree"), _integer(alpha), _integer(beta)
     return _jacobi_pair(m, alpha, beta, _finite_points(t))[0]
 
 
 def jacobi_derivative_eval(m: int, alpha: float, beta: float, t):
     """d/dt P_m^{(alpha,beta)}(t), with the checks of ``jacobi_eval``."""
-    if m < 0:
-        raise ValueError(f"degree must be nonnegative, got {m}")
+    m, alpha, beta = _check_count(m, "degree"), _integer(alpha), _integer(beta)
     return _jacobi_derivative(m, alpha, beta, _finite_points(t))
 
 

@@ -31,10 +31,9 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import index
 from typing import Callable, Iterable
 
-from .exactpoly import Polynomial, inner_product
+from .exactpoly import Polynomial, _check_index, inner_product
 from .family import alp_coefficients
 from .jacobi import _alp_kernel, _jacobi_eigenvalues, _jacobi_matrix, _jacobi_pair, _ldexp
 
@@ -70,13 +69,6 @@ class QuadratureRule:
     weights: tuple[float, ...]
 
 
-def _check_rule_index(n: int, k: int) -> tuple[int, int]:
-    """(n, k) as Python ints, after checking 1 <= k <= n; a float index raises TypeError."""
-    if not 1 <= k <= n:
-        raise ValueError(f"quadrature requires 1 <= k <= n, got n={n}, k={k}")
-    return index(n), index(k)
-
-
 def nodes(n: int, k: int) -> tuple[float, ...]:
     """Nodes of the (n, k) rule: the n-k+1 roots of deflated P_{n,k-1}.
 
@@ -97,7 +89,7 @@ def nodes(n: int, k: int) -> tuple[float, ...]:
     RootFindingError rather than ever returning a node set that fails its
     checks.
     """
-    n, k = _check_rule_index(n, k)
+    n, k = _check_index(n, k, 1, "quadrature")
     m, a = n - k + 1, 2 * k - 1
     ts = _jacobi_eigenvalues(*_jacobi_matrix(m, a))
     if ts is None:
@@ -143,7 +135,7 @@ def weights(n: int, k: int, rule_nodes: Iterable[float]) -> tuple[float, ...]:
     not iterable (a 0-d array, a float) raises iteration's own TypeError,
     and the rows of a 2-D array are nodes that are not real numbers.
     """
-    n, k = _check_rule_index(n, k)
+    n, k = _check_index(n, k, 1, "quadrature")
     # a Python float of (0, 1), which is every node build_rule passes, skips the call
     xs = [v if type(v) is float and 0.0 < v < 1.0 else _node(v) for v in rule_nodes]
     # a list first: tuples grown from a generator left the resident set 4.7 MB higher after 300 sweeps
@@ -162,7 +154,7 @@ def _node(v) -> float:
 
 def build_rule(n: int, k: int) -> QuadratureRule:
     """Assemble and validate the (n, k) rule."""
-    n, k = _check_rule_index(n, k)
+    n, k = _check_index(n, k, 1, "quadrature")
     xs = nodes(n, k)
     ws = weights(n, k, xs)
     if not all(0.0 < w < math.inf for w in ws):
@@ -202,8 +194,7 @@ def expand_in_alp(p: Polynomial, n: int, kmin: int) -> list[Fraction]:
     reproduces p exactly; the partial family spans the polynomials of
     degree <= n divisible by x^kmin.
     """
-    if not 0 <= kmin <= n:
-        raise ValueError(f"require 0 <= kmin <= n, got kmin={kmin}, n={n}")
+    n, kmin = _check_index(n, kmin)
     return [(2 * k + 1) * inner_product(p, alp_coefficients(n, k)) for k in range(kmin, n + 1)]
 
 

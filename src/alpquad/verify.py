@@ -43,9 +43,9 @@ import math
 import sys
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
-from operator import attrgetter, index, mul
+from operator import attrgetter, mul
 
-from .exactpoly import Polynomial, Scalar
+from .exactpoly import Polynomial, Scalar, _check_aux_index, _check_count, _check_index
 from .family import _ALWAYS, _AT_N, _RELATIONS, _pair_members, _relation_residual
 from .family import (
     CORRECTED,
@@ -163,9 +163,7 @@ def _orthogonality_reports(
 
 def verify_orthogonality(n: int) -> list[IdentityReport]:
     """Exact pairwise orthogonality, diagonal norms 1/(2k+1), and sign checks."""
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    n = index(n)
+    n = _check_count(n, "n")
     fam = {k: alp_coefficients(n, k) for k in range(n + 1)}
     note = "sign of x^n coefficient must be (-1)^(n-k)"
     return _orthogonality_reports(n, fam, ("orthogonality", "sign_normalization"), lambda k: n, note)
@@ -173,9 +171,7 @@ def verify_orthogonality(n: int) -> list[IdentityReport]:
 
 def verify_aux_orthogonality(n: int, kmax: int) -> list[IdentityReport]:
     """Exact orthogonality of the auxiliary sequence prefix n <= k <= kmax."""
-    if kmax < n:
-        raise ValueError(f"kmax must be >= n, got n={n}, kmax={kmax}")
-    n, kmax = index(n), index(kmax)
+    n, kmax = _check_aux_index(n, kmax)
     aux = {k: aux_coefficients(n, k) for k in range(n, kmax + 1)}
     note = "sign of x^k coefficient must be (-1)^(k-n)"
     return _orthogonality_reports(n, aux, ("aux_orthogonality", "aux_sign"), lambda k: k, note)
@@ -218,8 +214,7 @@ def verify_identity_suite(nmax: int) -> list[IdentityReport]:
     misprints reproducibly. Reports come back in canonical
     (n, k, identity) order.
     """
-    if nmax < 0:
-        raise ValueError(f"nmax must be nonnegative, got {nmax}")
+    nmax = _check_count(nmax, "nmax")
     reports = []
     for n in range(nmax + 1):
         for k in range(n + 1):
@@ -287,9 +282,7 @@ def fit_lowering_coefficients(n: int, k: int) -> tuple[Fraction, Fraction, Fract
     This is the independent derivation that justifies hard-coding the
     corrected mu; the published mu fails this fit for every k >= 1.
     """
-    if not 1 <= k <= n:
-        raise ValueError(f"lowering formula requires 1 <= k <= n, got n={n}, k={k}")
-    n, k = index(n), index(k)
+    n, k = _check_index(n, k, 1, "lowering formula")
     factors, terms = _RELATIONS["derivative_lowering"][3:]
     members = _pair_members(n, k)
     r = replace(recurrence_coefficients(n, k), lam=0, mu=0, nu=0)

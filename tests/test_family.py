@@ -41,10 +41,17 @@ from alpquad import (
     recurrence_coefficients,
     nodes,
     verify_aux_orthogonality,
+    verify_identity_suite,
     verify_orthogonality,
     weights,
 )
-from alpquad.jacobi import binomial_general, jacobi_derivative_eval, jacobi_eval, jacobi_shifted_coefficients
+from alpquad.jacobi import (
+    binomial_general,
+    jacobi_derivative_eval,
+    jacobi_eval,
+    jacobi_shifted_coefficients,
+    pochhammer,
+)
 from exact_kernel import exact_kernel_sums
 
 # ---------------------------------------------------------------------------
@@ -150,6 +157,31 @@ def test_index_validation():
             family(2).polynomial(k)
         with pytest.raises(ValueError, match=message):
             family(2).float_coefficients(k)
+    p = Polynomial(range(4))
+    guards = [  # (call, bad arguments, the whole message), each raised at Python and numpy integers alike
+        (pochhammer, (3, -2), "m must be nonnegative, got -2"),
+        (binomial_general, (-3, -2), "m must be nonnegative, got -2"),
+        (jacobi_shifted_coefficients, (-1, 2), "degree must be nonnegative, got -1"),
+        (lambda m, a: jacobi_eval(m, a, 0, 0.5), (-1, 2), "degree must be nonnegative, got -1"),
+        (lambda m, b: jacobi_derivative_eval(m, 0, b, 0.5), (-3, 2), "degree must be nonnegative, got -3"),
+        (Polynomial.monomial, (-2,), "power must be nonnegative, got -2"),
+        (family, (-1,), "family order must be nonnegative, got -1"),
+        (lambda n: alp_eval_recurrence(n, 0.5), (-4,), "family order must be nonnegative, got -4"),
+        (verify_orthogonality, (-1,), "n must be nonnegative, got -1"),
+        (verify_identity_suite, (-3,), "nmax must be nonnegative, got -3"),
+        (aux_coefficients, (3, 2), "auxiliary index requires k >= n >= 0, got n=3, k=2"),
+        (verify_aux_orthogonality, (3, 2), "auxiliary index requires k >= n >= 0, got n=3, k=2"),
+        # the kmax passed is named, not a k of the auxiliary sequence
+        (verify_aux_orthogonality, (-1, 2), "auxiliary index requires k >= n >= 0, got n=-1, k=2"),
+        (lambda n, k: expand_in_alp(p, n, k), (3, 5), "family index requires 0 <= k <= n, got n=3, k=5"),
+        (lambda n, k: expand_in_alp(p, n, k), (3, -1), "family index requires 0 <= k <= n, got n=3, k=-1"),
+        (build_rule, (3, 0), "quadrature requires 1 <= k <= n, got n=3, k=0"),
+        (fit_lowering_coefficients, (3, 4), "lowering formula requires 1 <= k <= n, got n=3, k=4"),
+    ]
+    for call, bad, message in guards:
+        for kind in (int, np.int64):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                call(*map(kind, bad))
 
 
 def _python_numbers(value) -> bool:
@@ -172,6 +204,8 @@ def test_index_kinds():
     x = Fraction(1, 3)
     pairs = [(n, k) for n in range(31) for k in range(n + 1)]
     rules = [(n, k) for n, k in pairs if k >= 1][::5]
+    signed = [(a, m) for a in range(-8, 9) for m in range(9)]
+    degrees = [(m, a) for m in range(0, 41, 4) for a in range(0, 62, 5)]
     calls = [  # (name, call, its (n, k) pairs)
         ("alp_coefficients", alp_coefficients, pairs),
         ("rodrigues", alp_coefficients_rodrigues, pairs),
@@ -194,23 +228,47 @@ def test_index_kinds():
         ("nodes", nodes, rules),
         ("weights", lambda n, k: weights(n, k, [0.25, 0.5]), rules),
         ("build_rule", build_rule, rules),
+        ("pochhammer", pochhammer, signed),
+        ("binomial_general", binomial_general, signed),
+        ("jacobi_eval", lambda m, a: jacobi_eval(m, a, 0, 0.3), degrees),
+        ("jacobi_eval, beta", lambda m, b: jacobi_eval(m, 1, b, 0.3), degrees),
+        ("jacobi_derivative_eval", lambda m, a: jacobi_derivative_eval(m, a, 0, 0.3), degrees),
+        ("jacobi_derivative_eval, beta", lambda m, b: jacobi_derivative_eval(m, 1, b, 0.3), degrees),
+        ("verify_identity_suite", lambda n, k: verify_identity_suite(n), [(n, 0) for n in range(6)]),
+        ("monomial", lambda n, k: Polynomial.monomial(n), [(n, 0) for n in range(31)]),
+        ("family", lambda n, k: (lambda f: (f.n, f.kstar, f._deflated))(AlpFamily(n)), [(n, 0) for n in range(41)]),
     ]
+    # these take one index; alpha and beta of the float recurrence may be floats too
+    one_index = {"alp_eval_recurrence", "verify_orthogonality", "verify_identity_suite", "monomial", "family",
+                 "jacobi_eval", "jacobi_eval, beta", "jacobi_derivative_eval", "jacobi_derivative_eval, beta"}
     for name, call, args in calls:
         for n, k in args:
             want = call(n, k)
             for kind in (np.int64, np.int32, bool):
-                if kind is bool and max(n, k) > 1:
+                if kind is bool and {n, k} - {0, 1}:
                     continue
                 got = call(kind(n), kind(k))
                 assert got == want and _python_numbers(got), (name, kind, n, k)
     for name, call, args in calls:
         n, k = args[-1]
         for bad in ((float(n), k), (n, float(k))):
-            if name in ("alp_eval_recurrence", "verify_orthogonality") and type(bad[1]) is float:
-                continue  # these take one index
+            if name in one_index and type(bad[1]) is float:
+                continue
             with pytest.raises(TypeError, match="^'float' object cannot be interpreted as an integer$"):
                 call(*bad)
     assert verify_orthogonality(np.int64(3))[0].json_line() == verify_orthogonality(3)[0].json_line()
+    # int64 arithmetic wraps: (2j+alpha+beta)^3 of a recurrence step from alpha = 2^21, a+m in
+    # pochhammer and z-m in binomial_general; an integer of any kind enters as the Python int
+    wide = [
+        (lambda m, a: jacobi_eval(m, a, 0, 0.5), 40, 3_000_000),
+        (lambda m, a: jacobi_derivative_eval(m, a, 0, 0.5), 40, 3_000_000),
+        (pochhammer, 2**63 - 1, 2),
+        (binomial_general, -(2**63), 2),
+    ]
+    for call, a, b in wide:
+        want = call(a, b)
+        got = call(np.int64(a), np.int64(b))
+        assert got == want and _python_numbers(got), (a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +297,16 @@ def test_jacobi_form_known_values():
     assert alp_coefficients_jacobi(2, 1) == Polynomial([0, 4, -5])
     assert alp_coefficients_jacobi(6, 6) == Polynomial.monomial(6)
     assert alp_coefficients_jacobi(2, 0) == Polynomial([3, -12, 10])
+
+
+def test_hypergeometric_and_jacobi_forms_are_one_polynomial():
+    """The 2F1 triple of each variant is its Jacobi pair (A, B) written as a 2F1:
+    prefactor C(m+A, m) and c = A+1 with m = n-k, so published (2k, 1) gives
+    C(n+k, n-k) and c = 2k+1, and the two published forms are one wrong polynomial."""
+    for variant in ("corrected", "published"):
+        for n in range(31):
+            for k in range(n + 1):
+                assert alp_coefficients_hypergeometric(n, k, variant) == alp_coefficients_jacobi(n, k, variant)
 
 
 def test_published_variants_differ():

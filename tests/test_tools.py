@@ -1,6 +1,7 @@
-"""Smoke tests of the scripts under tools/."""
+"""Smoke tests of the scripts under tools/, and of the benchmark's self-test."""
 
 import importlib.util
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -29,3 +30,13 @@ def test_code_lines_reports_every_module_and_their_sum():
     assert [name for name, _ in modules] == sorted(p.stem for p in (ROOT / "src" / "alpquad").glob("*.py"))
     assert total_name == "total"
     assert int(total) == sum(int(count) for _, count in modules)
+
+
+def test_benchmark_selftest_catches_every_injected_fault():
+    """bench/selftest.py injects four faults into the package and must catch each,
+    so a package change that breaks the harness's agreement with its oracle fails here."""
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    out = subprocess.run([sys.executable, "bench/selftest.py"], cwd=ROOT, env=env, capture_output=True, text=True,
+                         timeout=120)
+    assert out.returncode == 0, out.stdout + out.stderr
+    assert sum(": caught (" in line for line in out.stdout.splitlines()) == 4, out.stdout

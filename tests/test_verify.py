@@ -102,6 +102,15 @@ def test_lowering_published_residual_value():
     assert rep.residual == "10"
 
 
+def test_published_hypergeometric_and_jacobi_reports_carry_one_residual():
+    # the two published routes build one polynomial, so they fail together, with one residual
+    reports = _report_stream(30)
+    hyper = {(r.n, r.k): r.residual for r in by_identity(reports, "hypergeometric_published")}
+    jacobi = {(r.n, r.k): r.residual for r in by_identity(reports, "jacobi_form_published")}
+    assert len(hyper) == 496 and hyper == jacobi
+    assert sum(residual != "0" for residual in hyper.values()) == 465
+
+
 def test_recurrence_identity_report_passes():
     reports = verify_identity_suite(2)
     rep = next(r for r in reports if r.identity == "recurrence" and (r.n, r.k) == (2, 1))
