@@ -3,8 +3,9 @@
 The order-n family {P_nk, k = n..0} comes from Gram-Schmidt applied to the
 monomials in decreasing power order, so P_nk keeps the x^k behaviour near
 zero that ordinary orthogonal polynomials lose. The package provides exact
-integer coefficients through five independent construction routes, stable
-floating-point evaluation, the full set of recurrence, differentiation and
+integer coefficients through five construction routes (two kernels: a
+binomial sum and a terminating 2F1 series), stable floating-point
+evaluation, the full set of recurrence, differentiation and
 differential-equation identities as exactly checkable operations, the
 Jacobi-connected auxiliary sequence, and the Gauss-type quadrature the
 family generates (exact precisely for monomial degrees 2k-1 through 2n).

@@ -145,16 +145,10 @@ class Polynomial:
         return Polynomial([-c for c in self._coeffs])
 
     def __mul__(self, other):
+        # the product as a sum of shifted copies of other; a zero operand gives an empty sum
         if not isinstance(other, Polynomial):
             other = Polynomial([other])
-        if self.is_zero or other.is_zero:
-            return Polynomial()
-        out = [0] * (len(self._coeffs) + len(other._coeffs) - 1)
-        for i, a in enumerate(self._coeffs):
-            if a:
-                for j, b in enumerate(other._coeffs):
-                    out[i + j] += a * b
-        return Polynomial(out)
+        return _combine(*[(a, i, other) for i, a in enumerate(self._coeffs) if a])
 
     __rmul__ = __mul__
 
@@ -219,18 +213,15 @@ class Polynomial:
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
-        parts = []
-        for l, c in enumerate(self._coeffs):
-            if c == 0:
-                continue
-            term = str(c) if l == 0 else (f"{c}*x" if l == 1 else f"{c}*x^{l}")
-            parts.append(term)
-        return " + ".join(parts).replace("+ -", "- ")
+        terms = (str(c) if l == 0 else f"{c}*x" if l == 1 else f"{c}*x^{l}" for l, c in enumerate(self._coeffs) if c)
+        return " + ".join(terms).replace("+ -", "- ")
 
 
 def _combine(*terms: tuple[Scalar, int, Polynomial]) -> Polynomial:
     """Sum of c * x^s * p over the (c, s, p) terms, s >= 0: one accumulation pass
-    and one construction, where an operator chain builds a polynomial per step."""
+    and one construction, where an operator chain builds a polynomial per step.
+    The package's one routine that adds polynomials up: ``+``, ``-``, ``*`` and
+    every identity residual go through it."""
     out = [0] * max((s + len(p._coeffs) for _, s, p in terms), default=0)
     for c, s, p in terms:
         for i, a in enumerate(p._coeffs, s):

@@ -4,9 +4,14 @@ For fixed n the family P_nk, k = n..0, is orthogonal on [0, 1] with unit
 weight, normalized by integral norms 1/(2k+1) and the sign of the x^n
 coefficient; P_nk behaves like x^k near 0. Construction is exact (integer
 coefficients via big-integer binomials; float conversion happens once, at
-evaluation time). Five independent construction routes are provided and
-must agree coefficient-for-coefficient; the verification suite in
-``alpquad.verify`` certifies them. The relations among the members (the
+evaluation time). Five construction routes are provided and must agree
+coefficient-for-coefficient, which the verification suite in
+``alpquad.verify`` checks. They run two kernels: the binomial sum, which the
+Rodrigues route computes again (perm(p, m)/m! = C(p, m)), and the 2F1 term
+kernel ``jacobi._hypergeometric_terms``, which the hypergeometric, Jacobi
+and reciprocity routes share at their own parameter sets. What ties P_nk to
+the orthogonalization independently of the routes is the suite's
+orthogonality, norm and sign reports. The relations among the members (the
 ODE, the three-term recurrence and both differentiation formulas) are data,
 one record each in ``_RELATIONS``, which ``ode_residual`` and the suite read.
 
@@ -97,18 +102,17 @@ def alp_coefficients(n: int, k: int) -> Polynomial:
 def alp_coefficients_rodrigues(n: int, k: int) -> Polynomial:
     """P_nk by symbolic differentiation of the Rodrigues-type product.
 
-    Expands x^{n+k+1} (1-x)^{n-k} exactly, differentiates n-k times,
-    divides by (n-k)! and by x^{k+1}. Must equal alp_coefficients(n, k).
+    Expands x^{n+k+1} (1-x)^{n-k} exactly, differentiates n-k times and
+    divides by (n-k)! and by x^{k+1}, so the i-th term of the expansion lands
+    on x^{k+i}; the polynomial is built once, at its final power. Must equal
+    alp_coefficients(n, k).
     """
     n, k = _check_index(n, k)
     m = n - k
     # x^{n+k+1} (1-x)^m has coefficient (-1)^i C(m, i) at power p = n+k+1+i, and
     # the m-th derivative takes x^p to perm(p, m) x^{p-m}, all in one pass
     fm = math.factorial(m)
-    deriv = [0] * (2 * k + 1) + [
-        _quotient((-1) ** i * comb(m, i) * perm(n + k + 1 + i, m), fm) for i in range(m + 1)
-    ]
-    return Polynomial(deriv).shifted(-(k + 1))
+    return Polynomial([0] * k + [_quotient((-1) ** i * comb(m, i) * perm(n + k + 1 + i, m), fm) for i in range(m + 1)])
 
 
 def alp_coefficients_hypergeometric(n: int, k: int, variant: str = CORRECTED) -> Polynomial:
@@ -129,7 +133,7 @@ def alp_coefficients_hypergeometric(n: int, k: int, variant: str = CORRECTED) ->
     else:
         prefactor, c = comb(n + k, m), 2 * k + 1
     # prefactor (-m)_j (k+n+2)_j / ((c)_j j!), by the term-ratio kernel of the Jacobi series
-    return Polynomial([0] * k + _hypergeometric_terms(prefactor, -m, k + n + 2, c, m))
+    return Polynomial([0] * k + _hypergeometric_terms(prefactor, k + n + 2, c, m))
 
 
 def alp_coefficients_jacobi(n: int, k: int, variant: str = CORRECTED) -> Polynomial:
@@ -302,7 +306,7 @@ class AlpFamily:
         deflated = []
         for k in range(n, -1, -1):
             p = alp_coefficients.__wrapped__(n, k)
-            if any(abs(c) > _MAX_EXACT_FLOAT for c in p.coeffs):
+            if p.max_abs_coeff() > _MAX_EXACT_FLOAT:
                 break
             deflated.append(p.float_coeffs()[k:])
         self.kstar = n + 1 - len(deflated)

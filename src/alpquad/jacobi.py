@@ -108,21 +108,22 @@ def jacobi_shifted_coefficients(m: int, alpha: int, beta: int = 0) -> Polynomial
         # (alpha+1)_j hits zero once alpha + j = 0, i.e. j = -alpha <= m
         raise ValueError(f"series denominator (alpha+1)_j vanishes for alpha={alpha}, m={m}")
     prefactor = binomial_general(m + alpha, m)
-    return Polynomial(_hypergeometric_terms(prefactor, -m, m + alpha + beta + 1, alpha + 1, m))
+    return Polynomial(_hypergeometric_terms(prefactor, m + alpha + beta + 1, alpha + 1, m))
 
 
-def _hypergeometric_terms(prefactor: Scalar, a: int, b, c: int, m: int) -> list[Scalar]:
-    """The terms prefactor (a)_j (b)_j / ((c)_j j!), j = 0..m, of a terminating 2F1.
+def _hypergeometric_terms(prefactor: Scalar, b, c: int, m: int) -> list[Scalar]:
+    """The terms prefactor (-m)_j (b)_j / ((c)_j j!), j = 0..m, of the 2F1(-m, b; c)
+    that terminates at degree m.
 
     The term is carried as an integer numerator and denominator, each step
-    multiplying in the ratio (a+j)(b+j) / ((c+j)(j+1)) of consecutive terms;
+    multiplying in the ratio (j-m)(b+j) / ((c+j)(j+1)) of consecutive terms;
     a rational b puts its denominator into den. The caller keeps c+j nonzero
     for j < m.
     """
     num, den = prefactor.numerator, prefactor.denominator
     terms = [_quotient(num, den)]
     for j in range(m):
-        up = (a + j) * (b + j)  # a Fraction only for a rational b
+        up = (j - m) * (b + j)  # a Fraction only for a rational b
         num *= up.numerator
         den *= (c + j) * (j + 1) * up.denominator
         terms.append(_quotient(num, den))

@@ -24,7 +24,7 @@ The schema is declared once, in ``_REPORT_SCHEMA``: the JSON keys and the
 ``alpquad verify`` CSV header are those six names, in the field order of
 ``IdentityReport``, whose ``passed`` serialises as "pass", and
 ``report_from_json`` takes each field only with its JSON type (an ``n``
-or ``k`` that is a bool is refused).
+or ``k`` that is a bool is refused) and refuses a key outside the schema.
 
 Every check builds its report through ``_report``, which derives ``passed``
 from the residual and interns the note. A report is a slotted frozen
@@ -105,14 +105,18 @@ def _report(identity: str, n: int, k: int, residual: str, note: str = "") -> Ide
 
 def report_from_json(line: str) -> IdentityReport:
     """The report of one JSON line, built through ``_report``; raises ValueError, naming
-    the line, when it is not a JSON object, a key is missing, "pass" is not the bool
-    residual == "0", or a field is not of its type in ``_REPORT_SCHEMA``."""
+    the line, when it is not a JSON object, a key is missing, a key is not in
+    ``_REPORT_SCHEMA``, "pass" is not the bool residual == "0", or a field is not of
+    its type in ``_REPORT_SCHEMA``."""
     d = json.loads(line)
     if type(d) is not dict:
         raise ValueError(f"report line {line!r} is not a JSON object")
     missing = [key for key in _REPORT_SCHEMA if key not in d]
     if missing:
         raise ValueError(f"report line {line!r} lacks {', '.join(missing)}")
+    extra = [key for key in d if key not in _REPORT_SCHEMA]
+    if extra:
+        raise ValueError(f"report line {line!r} has {', '.join(extra)} outside the schema")
     passed = d["residual"] == "0"
     if d["pass"] is not passed:
         raise ValueError(f"report line {line!r}: \"pass\" must be {json.dumps(passed)} for its residual")

@@ -1,5 +1,6 @@
 """CLI behaviour: formats, goldens, determinism, exit codes."""
 
+import ast
 import csv
 import hashlib
 import json
@@ -8,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -397,6 +399,27 @@ for argv in commands:
     proc = run_fresh("-c", script)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == [b"False"] * 9
+
+
+def numpy_imports(source: str) -> list[int]:
+    """Lines of source that import numpy or a numpy submodule, at any depth."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        names = [a.name for a in node.names] if isinstance(node, ast.Import) else []
+        if isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        lines += [node.lineno for name in names if name.split(".")[0] == "numpy"]
+    return lines
+
+
+def test_no_module_imports_numpy():
+    # static, so a numpy import in a branch that no run reaches is caught too
+    sample = "import os, numpy\nfrom numpy.linalg import eigvalsh\ndef f(x):\n    if x:\n        import numpy.fft as F\n"
+    assert numpy_imports(sample) == [1, 2, 5]
+    assert numpy_imports("import numpyish\nfrom . import numpy\nnp = sys.modules.get('numpy')\n") == []
+    modules = sorted(Path(alpquad.__file__).parent.rglob("*.py"))
+    assert "exactpoly.py" in {path.name for path in modules}
+    assert {path.name: numpy_imports(path.read_text()) for path in modules} == {path.name: [] for path in modules}
 
 
 # every public entry point that takes scalars, as an expression over `aq`

@@ -168,6 +168,15 @@ def test_equality_and_hash():
     assert Polynomial([1]) != Polynomial([2])
 
 
+@pytest.mark.parametrize(
+    "coeffs, text",
+    [([], "0"), ([0, 0], "0"), ([5], "5"), ([0, 0, Fraction(-1, 3)], "-1/3*x^2"), ([1, -3], "1 - 3*x"),
+     ([0, -1, Fraction(1, 2), 0, 3], "-1*x + 1/2*x^2 + 3*x^4")],
+)
+def test_str_names_each_nonzero_term(coeffs, text):
+    assert str(Polynomial(coeffs)) == text
+
+
 @given(small_polys, small_polys)
 def test_inner_product_symmetric(p, q):
     assert inner_product(p, q) == inner_product(q, p)
@@ -229,6 +238,7 @@ def test_arithmetic_matches_fraction_reference(a, b, s, x, i, f):
     cases = [
         (p + q, [u + v for u, v in zip(_padded(a, size), _padded(b, size))]),
         (p - q, [u - v for u, v in zip(_padded(a, size), _padded(b, size))]),
+        (-p, [-Fraction(c) for c in a]),
         (p * q, conv),
         (p * s, [Fraction(c) * s for c in a]),
         (s * p, [Fraction(c) * s for c in a]),

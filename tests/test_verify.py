@@ -192,8 +192,11 @@ def test_report_json_roundtrip_and_schema(capsys):
         ({"pass": 1}, '"pass" must be true'),
         ({"note": None}, "lacks note"),
         ({"pass": None, "residual": None}, "lacks pass, residual"),
+        ({"extra": 5}, "has extra outside the schema"),
+        ({"extra": 5, "passed": True}, "has extra, passed outside the schema"),
     ],
-    ids=["true-with-residual", "false-with-zero", "str", "int", "no-note", "no-pass-no-residual"],
+    ids=["true-with-residual", "false-with-zero", "str", "int", "no-note", "no-pass-no-residual", "extra-key",
+         "extra-keys"],
 )
 def test_report_from_json_rejects_a_contradicting_or_incomplete_line(edit, message):
     # a None in edit drops that key
